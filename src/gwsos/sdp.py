@@ -7,7 +7,9 @@ Problems are stated over a moment-style variable vector y:
                 S_b(y) = C_b + sum_t vals_t y[var_t] E(rows_t, cols_t)  psd
 
 The solver eliminates the equalities through an SVD (so they hold to
-machine precision at every iterate), splits one-dimensional blocks into a
+machine precision at every iterate); when the equality matrix has at least
+as many rows as columns, one thin SVD yields both the particular solution
+and the nullspace basis.  It then splits one-dimensional blocks into a
 nonnegativity cone, and runs an infeasible-start primal-dual interior
 point method with Nesterov-Todd scaling and a Mehrotra-style
 predictor-corrector.  Everything is dense numpy; results are
@@ -122,8 +124,13 @@ def load_problem(path) -> SdpProblem:
                       blocks=blocks)
 
 
-def _eliminate_equalities(A, b, rtol=None):
-    """Min-norm particular solution and an orthonormal nullspace basis."""
+def _eliminate_equalities(A, b):
+    """Min-norm particular solution and an orthonormal nullspace basis.
+
+    When A has at least as many rows as columns, the thin SVD's Vt is
+    already square and holds the nullspace basis; only a wide A needs the
+    full factorization to complete it.
+    """
     nvars = A.shape[1]
     if A.shape[0] == 0:
         return np.zeros(nvars), np.eye(nvars), 0.0
@@ -136,16 +143,12 @@ def _eliminate_equalities(A, b, rtol=None):
     A = A / norms[:, None]
     b = b / norms
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if rtol is None:
-        rtol = max(A.shape) * np.finfo(float).eps
+    rtol = max(A.shape) * np.finfo(float).eps
     rank = int((s > rtol * s[0]).sum()) if len(s) else 0
     y_p = Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-    # complete the orthonormal basis of the nullspace of A
-    if rank < nvars:
-        full_Vt = np.linalg.svd(A, full_matrices=True)[2]
-        N = full_Vt[rank:].T
-    else:
-        N = np.zeros((nvars, 0))
+    if len(Vt) < nvars:
+        Vt = np.linalg.svd(A, full_matrices=True)[2]
+    N = Vt[rank:].T
     resid = np.linalg.norm(A @ y_p - b) / (1.0 + np.linalg.norm(b))
     return y_p, N, resid
 
@@ -208,15 +211,13 @@ def _nt_scaling(S, X):
     Ls = np.linalg.cholesky(S)
     Lx = np.linalg.cholesky(X)
     _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-    R = Lx @ (Vt.T / np.sqrt(sig))
-    return (R,)
+    return Lx @ (Vt.T / np.sqrt(sig))
 
 
 def solve(problem: SdpProblem,
           feas_tol: float = DEFAULT_FEAS_TOL,
           gap_tol: float = DEFAULT_GAP_TOL,
-          max_iter: int = DEFAULT_MAX_ITER,
-          verbose: bool = False) -> SdpSolution:
+          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve an SDP; see the module docstring for the problem format."""
     c_full = problem.objective
     y_p, N, eq_resid = _eliminate_equalities(problem.eq_lhs, problem.eq_rhs)
@@ -287,7 +288,6 @@ def solve(problem: SdpProblem,
     best_err = np.inf
     stall = 0
     residuals = {}
-    _dbg = {}
     for it in range(max_iter):
         # residuals of the current iterate
         Rp = [S[b] - sdp_G0[b] - np.tensordot(z, sdp_G[b], axes=(0, 0))
@@ -311,11 +311,6 @@ def solve(problem: SdpProblem,
         relgap = abs(gap) / (1 + abs(pobj) + abs(dobj))
         residuals = {"primal": float(pres), "dual": float(dres),
                      "gap": float(relgap), "mu": float(mu)}
-        if verbose:
-            print(f"iter {it:3d}  pres {pres:.2e}  dres {dres:.2e}  "
-                  f"gap {relgap:.2e}  mu {mu:.2e}  obj {pobj:.8f}  "
-                  f"{_dbg}")
-            _dbg.clear()
         if pres < feas_tol and dres < feas_tol and relgap < gap_tol:
             return finish(z, "optimal", it, residuals)
         err = max(pres, dres, relgap)
@@ -335,7 +330,7 @@ def solve(problem: SdpProblem,
             return finish(z, "numerical_failure", it, residuals)
         M = np.zeros((nz, nz))
         for b in range(nblk):
-            R = scal[b][0]
+            R = scal[b]
             Bf = np.einsum("ai,nab,bj->nij", R, sdp_G[b], R,
                            optimize=True).reshape(nz, -1)
             M += Bf @ Bf.T
@@ -356,7 +351,7 @@ def solve(problem: SdpProblem,
             targets = []
             rhs = -r_stat.copy()
             for b in range(nblk):
-                R = scal[b][0]
+                R = scal[b]
                 Tb = sigma_mu * Sinv[b] - X[b]
                 if corr is not None:
                     Tb = Tb - corr[b]
@@ -374,7 +369,7 @@ def solve(problem: SdpProblem,
             dz += linalg.cho_solve((Lm, True), rhs - M @ dz)
             dS, dX = [], []
             for b in range(nblk):
-                R = scal[b][0]
+                R = scal[b]
                 dSb = -Rp[b] + np.tensordot(dz, sdp_G[b], axes=(0, 0))
                 WdSW = R @ (R.T @ dSb @ R) @ R.T
                 dXb = targets[b] - WdSW
@@ -424,9 +419,6 @@ def solve(problem: SdpProblem,
             sigma = max(sigma, 0.9)
             dz, dS, dX, ds_lp, dx_lp = directions(sigma * mu)
             a_p, a_d = step_lengths(dS, dX, ds_lp, dx_lp)
-        if verbose:
-            _dbg.update(sigma=round(sigma, 6), a_p=round(a_p, 4),
-                        a_d=round(a_d, 4))
         if max(a_p, a_d) < 1e-10:
             return finish(z, "numerical_failure", it, residuals)
         z = z + a_d * dz

@@ -83,8 +83,22 @@ class TestDeterminism:
             assert s.iterations == sols[0].iterations
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVDs the solver computes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("full_matrices", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 class TestEliminateEqualities:
-    def test_machine_precision_satisfaction(self, rng):
+    def test_machine_precision_satisfaction(self, rng, svd_calls):
         A = rng.normal(size=(4, 9))
         b = rng.normal(size=4)
         y_p, N, resid = sdp._eliminate_equalities(A, b)
@@ -93,6 +107,32 @@ class TestEliminateEqualities:
         assert np.abs(A @ N).max() <= 1e-12
         # N orthonormal
         assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+        # a wide A needs the full factorization to complete the basis
+        assert svd_calls == [False, True]
+
+    def test_tall_rank_deficient(self, rng, svd_calls):
+        # 9 rows, 7 columns, rank 4: duplicated and combined rows
+        A0 = rng.normal(size=(4, 7))
+        A = np.vstack([A0, A0[1], A0[0] + 2 * A0[2], A0[3] - A0[1],
+                       A0[2], A0.sum(axis=0)])
+        x = rng.normal(size=7)
+        b = A @ x
+        y_p, N, resid = sdp._eliminate_equalities(A, b)
+        assert resid <= 1e-12
+        assert np.abs(A @ y_p - b).max() <= 1e-12
+        assert N.shape == (7, 3)
+        assert np.abs(A @ N).max() <= 1e-12
+        assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
+        assert svd_calls == [False]
+
+    def test_tall_full_rank(self, rng, svd_calls):
+        A = rng.normal(size=(9, 5))
+        x = rng.normal(size=5)
+        y_p, N, resid = sdp._eliminate_equalities(A, A @ x)
+        assert resid <= 1e-12
+        assert np.allclose(y_p, x, atol=1e-12)
+        assert N.shape == (5, 0)
+        assert svd_calls == [False]
 
     def test_redundant_rows_handled(self, rng):
         A = rng.normal(size=(3, 5))
