@@ -108,23 +108,19 @@ def _add_options(opts):
 @click.option("--feas-tol", default=sdp.DEFAULT_FEAS_TOL, show_default=True)
 @click.option("--gap-tol", default=sdp.DEFAULT_GAP_TOL, show_default=True)
 @click.option("--max-iter", default=sdp.DEFAULT_MAX_ITER, show_default=True)
-@click.option("--no-full-moment-block", is_flag=True,
-              help="Drop the extra full moment-matrix PSD block.")
 def cmd_lower_bound(x_file, y_file, level, p, q, output,
-                    feas_tol, gap_tol, max_iter, no_full_moment_block):
+                    feas_tol, gap_tol, max_iter):
     """Level-r lower bound on the distortion between two spaces."""
     started = time.perf_counter()
     X, Y = _load(x_file), _load(y_file)
     manifest = _manifest("lower-bound",
                          {"level": level, "p": p, "q": q,
                           "feas_tol": feas_tol, "gap_tol": gap_tol,
-                          "max_iter": max_iter,
-                          "full_moment_block": not no_full_moment_block},
+                          "max_iter": max_iter},
                          [x_file, y_file])
     try:
         res = hierarchy.gw_lower_bound(
             X, Y, p=p, q=q, level=level,
-            full_moment_block=not no_full_moment_block,
             feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
     except ValidationError as exc:
         _fail(str(exc))
@@ -140,21 +136,18 @@ def cmd_lower_bound(x_file, y_file, level, p, q, output,
 @click.argument("x_file")
 @click.argument("y_file")
 @_add_options(_common[1:])
-@click.option("--grid-points", default=oracle.GRID_POINTS, show_default=True)
-def cmd_oracle(x_file, y_file, p, q, output, grid_points):
-    """Exhaustive distortion minimum for tiny instances."""
+def cmd_oracle(x_file, y_file, p, q, output):
+    """Exact distortion minimum for tiny instances."""
     started = time.perf_counter()
     X, Y = _load(x_file), _load(y_file)
-    manifest = _manifest("oracle", {"p": p, "q": q,
-                                    "grid_points": grid_points},
-                         [x_file, y_file])
+    manifest = _manifest("oracle", {"p": p, "q": q}, [x_file, y_file])
     try:
-        res = oracle.brute_force_gw(X, Y, p=p, q=q, grid_points=grid_points)
+        res = oracle.brute_force_gw(X, Y, p=p, q=q)
     except ValidationError as exc:
         _fail(str(exc))
         sys.exit(EXIT_INPUT)
     _emit({"value": res.value, "root": res.value ** (1.0 / p),
-           "method": res.method, "evaluations": res.evaluations,
+           "evaluations": res.evaluations,
            "coupling": res.coupling.tolist()},
           manifest, started, output)
     sys.exit(EXIT_OK)

@@ -11,8 +11,10 @@ vectors.  Level r uses moments up to degree 2r and imposes:
   * one truncated PSD block per squarefree even-cardinality subset I of
     the coupling entries, with rows indexed by the monomials of degree
     exactly r - |I|/2 and entries y_{a+b+I};
-  * by default, the full moment matrix over all monomials of degree at
-    most r as one extra PSD block (droppable via ``full_moment_block``).
+  * the full moment matrix over all monomials of degree at most r as one
+    more PSD block.  With sum pi = 1 the "trunc" block and the marginal
+    identities already imply it; it stays because removing it changes the
+    interior-point iterates and moves the bounds by about 1e-8.
 
 Moment vectors of feasible couplings satisfy every constraint, so each
 level's optimum is a true lower bound, and levels are monotone.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 
@@ -49,7 +50,6 @@ class RelaxationInfo:
 
 def _marginal_equalities(basis, m, n, mu, nu):
     """Rows enforcing the coupling marginals on all low-degree moments."""
-    nvars = m * n
     maxdeg = basis.maxdeg
     low = basis.exponents[basis.degrees <= maxdeg - 1]
     rows = []
@@ -75,7 +75,7 @@ def _marginal_equalities(basis, m, n, mu, nu):
     return np.asarray(rows)
 
 
-def _localizing_blocks(basis, level, full_moment_block):
+def _localizing_blocks(basis, level):
     """Index tables for the truncated PSD blocks of one hierarchy level."""
     nvars = basis.nvars
     blocks = []
@@ -88,16 +88,14 @@ def _localizing_blocks(basis, level, full_moment_block):
             table = mom.index_table(basis, row_exps, shift)
             label = f"loc[{','.join(map(str, subset))}]" if subset else "trunc"
             blocks.append(sdp.PsdBlock.from_index_table(table, label=label))
-    if full_moment_block:
-        row_exps = basis.exponents[basis.degrees <= level].astype(np.int64)
-        table = mom.index_table(basis, row_exps)
-        blocks.append(sdp.PsdBlock.from_index_table(table, label="moment"))
+    row_exps = basis.exponents[basis.degrees <= level].astype(np.int64)
+    table = mom.index_table(basis, row_exps)
+    blocks.append(sdp.PsdBlock.from_index_table(table, label="moment"))
     return blocks
 
 
 def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
-                        p: float = 1.0, q: float = 1.0, level: int = 1,
-                        full_moment_block: bool = True):
+                        p: float = 1.0, q: float = 1.0, level: int = 1):
     """Build the level-r SDP; returns (problem, info)."""
     if level < 1:
         raise ValidationError(f"hierarchy level must be >= 1, got {level}")
@@ -125,7 +123,7 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     eq_lhs = np.vstack([eq_rows, stacked[:, :-1]])
     eq_rhs = np.concatenate([eq_rhs, stacked[:, -1]])
 
-    blocks = _localizing_blocks(basis, level, full_moment_block)
+    blocks = _localizing_blocks(basis, level)
     problem = sdp.SdpProblem(nvars=len(basis), objective=objective,
                              eq_lhs=eq_lhs, eq_rhs=eq_rhs, blocks=blocks)
     info = RelaxationInfo(level=level, m=m, n=n, nvars=len(basis),
@@ -155,12 +153,11 @@ class GwBound:
 
 def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
                    p: float = 1.0, q: float = 1.0, level: int = 1,
-                   full_moment_block: bool = True,
                    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
                    gap_tol: float = sdp.DEFAULT_GAP_TOL,
                    max_iter: int = sdp.DEFAULT_MAX_ITER) -> GwBound:
     """Level-r semidefinite lower bound on the distortion infimum gw(X, Y)."""
-    problem, info = assemble_relaxation(X, Y, p, q, level, full_moment_block)
+    problem, info = assemble_relaxation(X, Y, p, q, level)
     sol = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol,
                     max_iter=max_iter)
     raw = sol.objective_value

@@ -53,23 +53,16 @@ class MonomialBasis:
         self.nvars = nvars
         self.maxdeg = maxdeg
         rows = []
-        degree_start = [0]
         for d in range(maxdeg + 1):
             rows.extend(_compositions_desc(d, nvars))
-            degree_start.append(len(rows))
         self.exponents = np.array(rows, dtype=np.uint8)
         self.exponents.setflags(write=False)
         self.degrees = self.exponents.sum(axis=1).astype(np.int64)
-        self._degree_start = degree_start
         self._lookup = {row.tobytes(): i
                         for i, row in enumerate(self.exponents)}
 
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def degree_slice(self, d: int) -> slice:
-        """Index range of the monomials of total degree exactly ``d``."""
-        return slice(self._degree_start[d], self._degree_start[d + 1])
 
     def index(self, exponent) -> int:
         key = np.asarray(exponent, dtype=np.uint8).tobytes()
@@ -92,12 +85,6 @@ def get_basis(nvars: int, maxdeg: int) -> MonomialBasis:
     return MonomialBasis(nvars, maxdeg)
 
 
-def riesz_apply(basis: MonomialBasis, y: np.ndarray, coeffs, exponents):
-    """Evaluate the functional encoded by ``y`` on sum_k coeffs[k] x^exps[k]."""
-    idx = basis.index_rows(np.asarray(exponents))
-    return float(np.dot(np.asarray(coeffs, dtype=float), y[idx]))
-
-
 def point_moments(basis: MonomialBasis, point: np.ndarray) -> np.ndarray:
     """Moment vector of the Dirac measure at ``point``: y_g = point^g."""
     pt = np.asarray(point, dtype=float)
@@ -107,16 +94,6 @@ def point_moments(basis: MonomialBasis, point: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = pt[None, :] ** basis.exponents.astype(np.int64)
     return logs.prod(axis=1)
-
-
-def mixture_moments(basis: MonomialBasis, points: np.ndarray,
-                    masses: np.ndarray) -> np.ndarray:
-    """Moments of a finitely supported measure sum_k masses[k] * delta(pt_k)."""
-    out = np.zeros(len(basis))
-    for pt, mass in zip(np.asarray(points, dtype=float),
-                        np.asarray(masses, dtype=float)):
-        out += mass * point_moments(basis, pt)
-    return out
 
 
 def index_table(basis: MonomialBasis, row_exponents: np.ndarray,
@@ -133,8 +110,3 @@ def index_table(basis: MonomialBasis, row_exponents: np.ndarray,
         grid = grid + np.asarray(shift, dtype=np.int64)
     k = len(rows)
     return basis.index_rows(grid.reshape(k * k, -1)).reshape(k, k)
-
-
-def gather_matrix(y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Materialize the symmetric matrix encoded by an index table."""
-    return y[table]

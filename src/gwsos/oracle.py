@@ -1,27 +1,32 @@
-"""Reference evaluation of the distortion infimum on tiny instances.
+"""Exact distortion minimum on tiny instances by KKT face enumeration.
 
 The coupling polytope with marginals (mu, nu) is affinely parametrized by
-its upper-left (m-1) x (n-1) block, so the quadratic objective can be
-minimized by dense grid search over that block followed by local
-refinement.  For 2 x 2 instances the problem is a univariate quadratic on
-an interval and is solved in closed form.  Intended for small m, n only;
-the grid is thinned automatically when the free dimension is large.
+its upper-left (m-1) x (n-1) block, pi = b0 + B^T t with k = (m-1)(n-1)
+free coordinates t, which turns the distortion into a quadratic in t.
+Take the smallest face whose relative interior holds a minimizer.  The
+minimizer is the unique stationary point of the objective on that face's
+affine hull, since otherwise the stationary set would reach a smaller
+face, and at most k independent constraints pi_v = 0 cut that hull out.
+So solving the equality-constrained KKT system of every zero set Z with
+|Z| <= k, keeping the nonsingular systems whose solutions are feasible and
+taking the least objective gives the exact minimum.  The number of systems
+grows like 2^(mn), so instances needing more than ``MAX_SYSTEMS`` of them
+are refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import warnings
+import math
 
 import numpy as np
-from scipy import optimize
 
-from .spaces import CostTensor, MetricMeasureSpace, build_cost_tensor
+from .spaces import (CostTensor, MetricMeasureSpace, ValidationError,
+                     build_cost_tensor)
 
-GRID_POINTS = 21
-_GRID_BUDGET = 5 * 10 ** 6
-_TIE_TOL = 1e-12
+MAX_SYSTEMS = 2 ** 17
+_FEAS_TOL = 1e-9
 
 
 def evaluate_objective(cost: CostTensor, pi: np.ndarray) -> float:
@@ -35,8 +40,7 @@ def evaluate_objective(cost: CostTensor, pi: np.ndarray) -> float:
 class OracleResult:
     value: float
     coupling: np.ndarray
-    method: str
-    evaluations: int
+    evaluations: int  # nonsingular KKT systems solved
 
 
 def _affine_parametrization(mu, nu):
@@ -55,110 +59,48 @@ def _affine_parametrization(mu, nu):
     return base, basis
 
 
-def _closed_form_1d(C, base, direction):
-    """Exact minimum of a univariate quadratic over the feasible segment."""
-    b0, d = base.ravel(), direction.ravel()
-    a = d @ C @ d
-    b = 2.0 * (b0 @ C @ d)
-    # feasible t range from entrywise nonnegativity of base + t*direction
-    lo, hi = -np.inf, np.inf
-    for bv, dv in zip(b0, d):
-        if dv > 0:
-            lo = max(lo, -bv / dv)
-        elif dv < 0:
-            hi = min(hi, -bv / dv)
-        elif bv < -1e-12:
-            return None
-    candidates = [lo, hi]
-    if a > 0:
-        t_star = -b / (2 * a)
-        if lo < t_star < hi:
-            candidates.append(t_star)
-    vals = [(b0 + t * d) @ C @ (b0 + t * d) for t in candidates]
-    order = np.lexsort((candidates, vals))
-    t_best = candidates[order[0]]
-    return t_best
-
-
 def brute_force_gw(X: MetricMeasureSpace, Y: MetricMeasureSpace,
-                   p: float = 1.0, q: float = 1.0,
-                   grid_points: int = GRID_POINTS,
-                   refine: bool = True) -> OracleResult:
-    """Minimize the distortion over all couplings by exhaustive search.
+                   p: float = 1.0, q: float = 1.0) -> OracleResult:
+    """Minimize the distortion exactly over all couplings.
 
-    Deterministic: ties within 1e-12 are broken toward the coupling whose
-    flattened entries are lexicographically smallest.
+    Zero sets are enumerated by size, then in ``itertools.combinations``
+    order; among couplings of equal value the first one found is returned.
+    Raises :class:`ValidationError` when the instance needs more than
+    ``MAX_SYSTEMS`` KKT systems (4x4 needs 50,643; 4x5 needs 910,596).
     """
+    m, n = X.size, Y.size
+    k, nvars = (m - 1) * (n - 1), m * n
+    systems = sum(math.comb(nvars, s) for s in range(k + 1))
+    if systems > MAX_SYSTEMS:
+        raise ValidationError(
+            f"a {m}x{n} oracle solves {systems} KKT systems, above the cap "
+            f"of {MAX_SYSTEMS}; use smaller spaces")
     cost = build_cost_tensor(X, Y, p, q)
-    mu, nu = X.weights, Y.weights
-    m, n = len(mu), len(nu)
-    C = cost.entries.reshape(m * n, m * n)
-    C = 0.5 * (C + C.T)
-    base, basis = _affine_parametrization(mu, nu)
-    dim = len(basis)
+    C = cost.entries.reshape(nvars, nvars)
+    base, basis = _affine_parametrization(X.weights, Y.weights)
+    b0, B = base.ravel(), basis.reshape(k, nvars)
+    H, g = B @ C @ B.T, B @ C @ b0
 
-    if dim == 0:
-        return OracleResult(value=evaluate_objective(cost, base),
-                            coupling=base, method="unique", evaluations=1)
-    if dim == 1:
-        t = _closed_form_1d(C, base, basis[0])
-        pi = base + t * basis[0]
-        return OracleResult(value=float(pi.ravel() @ C @ pi.ravel()),
-                            coupling=np.maximum(pi, 0.0),
-                            method="closed_form", evaluations=3)
-
-    pts = grid_points
-    while pts > 2 and pts ** dim > _GRID_BUDGET:
-        pts -= 2
-    if pts != grid_points:
-        warnings.warn(f"grid thinned to {pts} points per axis in "
-                      f"dimension {dim}", stacklevel=2)
-    axes = [np.linspace(0.0, min(mu[i], nu[j]), pts)
-            for i, j in itertools.product(range(m - 1), range(n - 1))]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    T = mesh.reshape(-1, dim)
-    Bmat = basis.reshape(dim, m * n)
-    P = base.ravel()[None, :] + T @ Bmat
-    feasible = (P >= -1e-12).all(axis=1)
-    T, P = T[feasible], P[feasible]
-    vals = np.einsum("np,pq,nq->n", P, C, P, optimize=True)
-    order = np.argsort(vals, kind="stable")
-    evaluations = len(vals)
-
-    def objective(t):
-        v = base.ravel() + Bmat.T @ t
-        return float(v @ C @ v)
-
-    def gradient(t):
-        v = base.ravel() + Bmat.T @ t
-        return 2.0 * (Bmat @ (C @ v))
-
-    best_val, best_pi = np.inf, None
-    starts = T[order[:10]]
-    if refine:
-        cons = [{"type": "ineq",
-                 "fun": lambda t: base.ravel() + Bmat.T @ t,
-                 "jac": lambda t: Bmat.T}]
-        for t0 in starts:
-            res = optimize.minimize(objective, t0, jac=gradient,
-                                    constraints=cons, method="SLSQP",
-                                    options={"maxiter": 200, "ftol": 1e-14})
-            evaluations += res.nit
-            pi_flat = np.maximum(base.ravel() + Bmat.T @ res.x, 0.0)
-            val = float(pi_flat @ C @ pi_flat)
-            better = val < best_val - _TIE_TOL
-            tie = (abs(val - best_val) <= _TIE_TOL and best_pi is not None
-                   and tuple(pi_flat) < tuple(best_pi))
-            if better or tie:
-                best_val, best_pi = val, pi_flat
-    if best_pi is None:
-        best_pi = P[order[0]]
-        best_val = float(vals[order[0]])
-    else:
-        # grid winner may beat a refinement that stalled
-        if vals[order[0]] < best_val - _TIE_TOL:
-            best_val, best_pi = float(vals[order[0]]), P[order[0]]
-    return OracleResult(value=best_val,
-                        coupling=best_pi.reshape(m, n),
-                        method="grid+slsqp" if refine else "grid",
+    best_val, best_pi, evaluations = np.inf, None, 0
+    for s in range(k + 1):
+        Z = np.array(list(itertools.combinations(range(nvars), s)),
+                     dtype=np.int64).reshape(math.comb(nvars, s), s)
+        A = B.T[Z]
+        K = np.zeros((len(Z), k + s, k + s))
+        K[:, :k, :k] = H
+        K[:, k:, :k] = A
+        K[:, :k, k:] = A.transpose(0, 2, 1)
+        rhs = np.concatenate([np.broadcast_to(-g, (len(Z), k)), -b0[Z]],
+                             axis=1)
+        nonsingular = np.linalg.slogdet(K)[0] != 0
+        evaluations += int(nonsingular.sum())
+        t = np.linalg.solve(K[nonsingular], rhs[nonsingular, :, None])
+        pi = b0 + t[:, :k, 0] @ B
+        pi = np.maximum(pi[(pi >= -_FEAS_TOL).all(axis=1)], 0.0)
+        if len(pi):
+            vals = np.einsum("np,pq,nq->n", pi, C, pi)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best_pi = float(vals[i]), pi[i]
+    return OracleResult(value=best_val, coupling=best_pi.reshape(m, n),
                         evaluations=evaluations)

@@ -83,9 +83,22 @@ class TestOracle:
         assert result.exit_code == 0
         rec = record(result)
         assert rec["value"] == pytest.approx(0.25, abs=1e-10)
-        assert rec["method"] == "closed_form"
         pi = np.asarray(rec["coupling"])
         assert pi.shape == (2, 2)
+
+    def test_size_cap_exits_one(self, runner, tmp_path):
+        paths = []
+        for size in (4, 5):
+            pts = np.linspace(0.0, 1.0, size)
+            doc = {"labels": [f"p{i}" for i in range(size)],
+                   "dist": np.abs(pts[:, None] - pts[None, :]).tolist(),
+                   "weights": [1.0 / size] * size}
+            path = tmp_path / f"s{size}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        result = runner.invoke(main, ["oracle", *paths])
+        assert result.exit_code == 1
+        assert "error:" in result.stderr
 
 
 class TestMetricCheck:

@@ -29,11 +29,6 @@ class TestAssembly:
         locs = [l for l in info.block_labels if l.startswith("loc")]
         assert len(locs) == 6  # C(4, 2)
 
-    def test_full_moment_block_optional(self, two_point_pair):
-        X, Y = two_point_pair
-        _, info = assemble_relaxation(X, Y, level=1, full_moment_block=False)
-        assert "moment" not in info.block_labels
-
     def test_objective_matches_cost_quadratic(self, rng):
         # the linear objective on product-coupling moments equals the
         # quadratic distortion of that coupling

@@ -1,10 +1,13 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwsos import (MetricMeasureSpace, brute_force_gw, build_cost_tensor,
-                   evaluate_objective, product_coupling)
+from gwsos import (MetricMeasureSpace, ValidationError, brute_force_gw,
+                   build_cost_tensor, evaluate_objective, product_coupling)
 
 from conftest import random_space
 
@@ -33,7 +36,6 @@ class TestClosedForm2x2:
         # objective 2t - 4t^2 + 1/4 on t in [0, 1/2]: concave, min 1/4
         X, Y = two_point_pair
         res = brute_force_gw(X, Y, p=1, q=1)
-        assert res.method == "closed_form"
         assert res.value == pytest.approx(0.25, abs=1e-12)
 
     def test_identical_pair_is_zero(self, two_point_pair):
@@ -65,26 +67,12 @@ class TestGridRefine:
         res3 = brute_force_gw(X, Y3, p=1, q=1)
         assert res3.value == pytest.approx(res2.value, abs=1e-9)
 
-    def test_refine_false_stays_on_grid(self, rng):
-        X = random_space(rng, 3)
-        Y = random_space(rng, 3)
-        res = brute_force_gw(X, Y, grid_points=11, refine=False)
-        assert res.method == "grid"
-        ref = brute_force_gw(X, Y, grid_points=11, refine=True)
-        assert ref.value <= res.value + 1e-12
-
-    def test_grid_thinning_warns(self, rng):
-        X = random_space(rng, 4)
-        Y = random_space(rng, 4)
-        with pytest.warns(UserWarning, match="thinned"):
-            brute_force_gw(X, Y, grid_points=41, refine=False)
-
     def test_singleton_instances_unique(self, rng):
         X = MetricMeasureSpace(labels=["o"], dist=np.zeros((1, 1)),
                                weights=np.ones(1))
         Y = random_space(rng, 3)
         res = brute_force_gw(X, Y)
-        assert res.method == "unique"
+        assert res.evaluations == 1
         assert np.allclose(res.coupling, Y.weights[None, :])
 
     def test_deterministic_reruns(self, rng):
@@ -94,6 +82,46 @@ class TestGridRefine:
         r2 = brute_force_gw(X, Y, p=2, q=1)
         assert r1.value == r2.value
         assert np.array_equal(r1.coupling, r2.coupling)
+
+
+class TestFaceEnumeration:
+    def test_couplings_feasible(self, rng):
+        combos = itertools.product([2, 3], [2, 3], [1.0, 2.0], [1.0, 2.0])
+        for m, n, p, q in list(combos) * 3:
+            X, Y = random_space(rng, m), random_space(rng, n)
+            pi = brute_force_gw(X, Y, p=p, q=q).coupling
+            assert (pi >= 0).all()
+            assert np.abs(pi.sum(axis=1) - X.weights).max() <= 1e-12
+            assert np.abs(pi.sum(axis=0) - Y.weights).max() <= 1e-12
+
+    def test_not_above_any_grid_coupling(self, rng):
+        # 11 points per free entry of the upper-left 2x2 block
+        for _ in range(3):
+            X, Y = random_space(rng, 3), random_space(rng, 3)
+            mu, nu = X.weights, Y.weights
+            axes = [np.linspace(0.0, min(mu[i], nu[j]), 11)
+                    for i, j in itertools.product(range(2), range(2))]
+            T = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 4)
+            P = np.zeros((len(T), 3, 3))
+            P[:, :2, :2] = T.reshape(-1, 2, 2)
+            P[:, :2, 2] = mu[:2] - P[:, :2, :2].sum(axis=2)
+            P[:, 2, :] = nu - P[:, :2, :].sum(axis=1)
+            P = P[(P >= 0).all(axis=(1, 2))]
+            cost = build_cost_tensor(X, Y, 1, 1)
+            grid_min = min(evaluate_objective(cost, pi) for pi in P)
+            assert brute_force_gw(X, Y).value <= grid_min + 1e-12
+
+    def test_identical_4x4_is_zero_without_warning(self, rng):
+        X = random_space(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = brute_force_gw(X, X)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_size_cap_refuses_4x5(self, rng):
+        X, Y = random_space(rng, 4), random_space(rng, 5)
+        with pytest.raises(ValidationError, match="cap"):
+            brute_force_gw(X, Y)
 
 
 class TestInvariances:
