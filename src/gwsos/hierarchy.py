@@ -18,6 +18,12 @@ vectors.  Level r uses moments up to degree 2r and imposes:
 
 Moment vectors of feasible couplings satisfy every constraint, so each
 level's optimum is a true lower bound, and levels are monotone.
+
+The normalization and marginal identities also reach the solver in
+solved form.  With pi = base + B^T t over the k = (m-1)(n-1) free
+coordinates t, their solutions are exactly the pushforwards of
+functionals on t-polynomials of degree <= 2r, so the map from t-moments
+to pi-moments spans them without any factorization.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 
 from . import moments as mom
 from . import sdp
+from .oracle import _affine_parametrization
 from .spaces import MetricMeasureSpace, ValidationError, build_cost_tensor
 
 
@@ -75,6 +82,44 @@ def _marginal_equalities(basis, m, n, mu, nu):
     return np.asarray(rows)
 
 
+def _substitution_map(basis, mu, nu):
+    """Matrix L with y = L w for pi = base + B^T t (oracle's parametrization).
+
+    Row g holds the coefficients of the polynomial pi(t)^g over the
+    t-monomials up to the basis degree 2r, so the moments of any measure on t map to
+    those of its pushforward.  Rows are filled in graded order: with v the
+    first variable of g, pi^g = pi_v(t) * pi^(g - e_v), and multiplying by
+    the affine form b0_v + sum_u B[u, v] t_u is one scale plus k shifts.
+    Column 0 is the Dirac measure at t = 0 and the others span the
+    solutions of the marginal identities with y_0 = 0.
+    """
+    base, B = _affine_parametrization(mu, nu)
+    b0 = base.ravel()
+    k = len(B)
+    if k == 0:  # a one-point space: the coupling is fixed
+        return mom.point_moments(basis, b0)[:, None]
+    B = B.reshape(k, basis.nvars)
+    tbasis = mom.get_basis(k, basis.maxdeg)
+    low = np.flatnonzero(tbasis.degrees < basis.maxdeg)
+    low_exps = tbasis.exponents[low].astype(np.int64)
+    shifts = [tbasis.index_rows(low_exps + e)
+              for e in np.eye(k, dtype=np.int64)]
+    exps = basis.exponents.astype(np.int64)
+    first = np.argmax(exps > 0, axis=1)
+    exps[np.arange(len(exps)), first] -= 1
+    L = np.zeros((len(basis), len(tbasis)))
+    L[0, 0] = 1.0
+    for d in range(1, basis.maxdeg + 1):
+        rows = np.flatnonzero(basis.degrees == d)
+        v = first[rows]
+        prev = L[basis.index_rows(exps[rows])]
+        L[rows] = b0[v, None] * prev
+        prev = prev[:, low]
+        for u, shift in enumerate(shifts):
+            L[rows[:, None], shift] += B[u, v, None] * prev
+    return L
+
+
 def _localizing_blocks(basis, level):
     """Index tables for the truncated PSD blocks of one hierarchy level."""
     nvars = basis.nvars
@@ -114,18 +159,16 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
             e[v2] += 1
             objective[basis.index(e)] += flat_cost[v1, v2]
 
-    eq_rows = [np.zeros(len(basis))]
-    eq_rows[0][0] = 1.0
-    eq_rhs = [1.0]
     marg = _marginal_equalities(basis, m, n, X.weights, Y.weights)
-    stacked = np.column_stack([marg, np.zeros(len(marg))])
-    stacked = np.unique(stacked, axis=0)
-    eq_lhs = np.vstack([eq_rows, stacked[:, :-1]])
-    eq_rhs = np.concatenate([eq_rhs, stacked[:, -1]])
+    eq_lhs = np.vstack([np.eye(1, len(basis)), marg])
+    eq_rhs = np.zeros(len(eq_lhs))
+    eq_rhs[0] = 1.0
+    L = _substitution_map(basis, X.weights, Y.weights)
 
     blocks = _localizing_blocks(basis, level)
     problem = sdp.SdpProblem(nvars=len(basis), objective=objective,
-                             eq_lhs=eq_lhs, eq_rhs=eq_rhs, blocks=blocks)
+                             eq_lhs=eq_lhs, eq_rhs=eq_rhs, blocks=blocks,
+                             free=(L[:, 0], L[:, 1:]))
     info = RelaxationInfo(level=level, m=m, n=n, nvars=len(basis),
                           num_equalities=len(eq_rhs),
                           block_labels=tuple(b.label for b in blocks),

@@ -6,13 +6,18 @@ Problems are stated over a moment-style variable vector y:
     subject to  A y = b
                 S_b(y) = C_b + sum_t vals_t y[var_t] E(rows_t, cols_t)  psd
 
-The solver eliminates the equalities through an SVD (so they hold to
-machine precision at every iterate); when the equality matrix has at least
-as many rows as columns, one thin SVD yields both the particular solution
-and the nullspace basis.  It then splits one-dimensional blocks into a
-nonnegativity cone, and runs an infeasible-start primal-dual interior
-point method with Nesterov-Todd scaling and a Mehrotra-style
-predictor-corrector.  Everything is dense numpy; results are
+The solver works in orthonormal coordinates of the affine set {A y = b},
+so the equalities hold to machine precision at every iterate.  A problem
+may state that set explicitly as ``free = (offset, basis)``, meaning
+{A y = b} = {offset + basis @ w}; then a thin QR of ``basis`` gives the
+coordinates and no factorization of A is needed.  Otherwise an SVD of A
+does; when A has at least as many rows as columns, one thin SVD yields
+both the particular solution and the nullspace basis.  The solver then
+splits one-dimensional blocks into a nonnegativity cone, and runs an
+infeasible-start primal-dual interior point method with Nesterov-Todd
+scaling and a Mehrotra-style predictor-corrector.  The Schur complement
+is factored as it is, with a small ridge only when its Cholesky
+factorization fails.  Everything is dense numpy; results are
 deterministic for a fixed input.
 """
 
@@ -69,12 +74,17 @@ class SdpProblem:
     eq_lhs: np.ndarray  # (neq, nvars)
     eq_rhs: np.ndarray  # (neq,)
     blocks: list
+    # (offset (nvars,), basis (nvars, nfree)) with
+    # {y : eq_lhs y = eq_rhs} = {offset + basis @ w}, or None
+    free: tuple | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.eq_lhs = np.asarray(self.eq_lhs, dtype=float).reshape(
             -1, self.nvars)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
+        if self.free is not None:
+            self.free = tuple(np.asarray(a, dtype=float) for a in self.free)
 
 
 @dataclasses.dataclass
@@ -92,6 +102,10 @@ def dump_problem(problem: SdpProblem, path) -> None:
         "objective": problem.objective.tolist(),
         "eq_lhs": problem.eq_lhs.tolist(),
         "eq_rhs": problem.eq_rhs.tolist(),
+        "free": None if problem.free is None else {
+            "offset": problem.free[0].tolist(),
+            "basis": problem.free[1].tolist(),
+        },
         "blocks": [{
             "dim": blk.dim,
             "const": np.asarray(blk.const).tolist(),
@@ -117,11 +131,20 @@ def load_problem(path) -> SdpProblem:
                        vals=np.asarray(b["vals"], dtype=float),
                        label=b.get("label", ""))
               for b in doc["blocks"]]
+    free = doc.get("free")
     return SdpProblem(nvars=doc["nvars"],
                       objective=np.asarray(doc["objective"], dtype=float),
                       eq_lhs=np.asarray(doc["eq_lhs"], dtype=float),
                       eq_rhs=np.asarray(doc["eq_rhs"], dtype=float),
-                      blocks=blocks)
+                      blocks=blocks,
+                      free=None if free is None else (free["offset"],
+                                                      free["basis"]))
+
+
+def _free_coordinates(offset, basis):
+    """Min-norm point and an orthonormal basis of {offset + basis @ w}."""
+    N = np.linalg.qr(basis)[0]
+    return offset - N @ (N.T @ offset), N
 
 
 def _eliminate_equalities(A, b):
@@ -214,13 +237,31 @@ def _nt_scaling(S, X):
     return Lx @ (Vt.T / np.sqrt(sig))
 
 
+def _schur_factor(M):
+    """Cholesky factor of M, with a small ridge only if M alone fails.
+
+    A ridge that is always on cannot be undone by one refinement step on
+    M's small eigendirections, so the dual residual climbs as mu -> 0.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        ridge = 1e-13 * np.trace(M) / len(M)
+        return np.linalg.cholesky(M + ridge * np.eye(len(M)))
+
+
 def solve(problem: SdpProblem,
           feas_tol: float = DEFAULT_FEAS_TOL,
           gap_tol: float = DEFAULT_GAP_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve an SDP; see the module docstring for the problem format."""
     c_full = problem.objective
-    y_p, N, eq_resid = _eliminate_equalities(problem.eq_lhs, problem.eq_rhs)
+    if problem.free is None:
+        y_p, N, eq_resid = _eliminate_equalities(problem.eq_lhs,
+                                                 problem.eq_rhs)
+    else:
+        y_p, N = _free_coordinates(*problem.free)
+        eq_resid = 0.0
     if y_p is None or eq_resid > 1e-8:
         return SdpSolution(y=np.zeros(problem.nvars),
                            objective_value=np.nan,
@@ -337,7 +378,7 @@ def solve(problem: SdpProblem,
         if nlp:
             M += (lp_G.T * (x_lp / s_lp)) @ lp_G
         try:
-            Lm = np.linalg.cholesky(M + 1e-13 * np.trace(M) / nz * np.eye(nz))
+            Lm = _schur_factor(M)
         except np.linalg.LinAlgError:
             return finish(z, "numerical_failure", it, residuals)
 

@@ -24,8 +24,10 @@ class MetricMeasureSpace:
     """A finite metric space together with a probability weight vector.
 
     ``dist`` must be symmetric with zero diagonal and satisfy the triangle
-    inequality; ``weights`` must be nonnegative and sum to one.  Instances
-    are immutable and safe to share across threads.
+    inequality; ``weights`` must be nonnegative and sum to one within
+    1e-8, and are then divided by their sum, so that two spaces always
+    carry the same mass and have couplings.  Instances are immutable and
+    safe to share across threads.
     """
 
     labels: tuple
@@ -41,6 +43,7 @@ class MetricMeasureSpace:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         validate_space(self)
+        object.__setattr__(self, "weights", weights / weights.sum())
         self.dist.setflags(write=False)
         self.weights.setflags(write=False)
 

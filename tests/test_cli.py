@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gwsos import sdp
+from gwsos import hierarchy, load_space, sdp
 from gwsos.cli import main
 
 SPACE_A = {"labels": ["a", "b"], "dist": [[0, 1], [1, 0]],
@@ -181,6 +181,10 @@ class TestSolverDump:
                                       files["b"], "-o", str(out)])
         assert result.exit_code == 0
         prob = sdp.load_problem(out)
+        want, _ = hierarchy.assemble_relaxation(load_space(files["a"]),
+                                                load_space(files["b"]))
+        for a, b in zip(prob.free, want.free):
+            assert np.array_equal(a, b)
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.25, abs=1e-4)

@@ -56,6 +56,41 @@ class TestAssembly:
         assert pair_index(1, 2, 3) == 5
 
 
+def assert_free_spans_equalities(X, Y, level):
+    """{eq_lhs y = eq_rhs} = {offset + basis @ w}, with basis of full rank."""
+    prob, _ = assemble_relaxation(X, Y, level=level)
+    offset, basis = prob.free
+    assert np.abs(prob.eq_lhs @ offset - prob.eq_rhs).max() <= 1e-12
+    assert np.abs(prob.eq_lhs @ basis).max(initial=0.0) <= 1e-12
+    nullity = prob.nvars - np.linalg.matrix_rank(prob.eq_lhs)
+    assert basis.shape[1] == nullity
+    assert np.linalg.matrix_rank(basis) == nullity
+
+
+class TestSubstitution:
+    @pytest.mark.parametrize("m,n,level",
+                             itertools.product([1, 2, 3], [1, 2, 3], [1, 2]))
+    def test_free_spans_equality_solutions(self, rng, m, n, level):
+        assert_free_spans_equalities(random_space(rng, m),
+                                     random_space(rng, n), level)
+
+    def test_zero_weight_point(self, rng):
+        Y = MetricMeasureSpace(labels=["a", "b", "c"],
+                               dist=random_space(rng, 3).dist,
+                               weights=np.array([0.4, 0.0, 0.6]))
+        for level in (1, 2):
+            assert_free_spans_equalities(random_space(rng, 2), Y, level)
+
+    def test_offset_is_the_parametrization_base(self, rng):
+        X, Y = random_space(rng, 2), random_space(rng, 3)
+        prob, info = assemble_relaxation(X, Y, level=2)
+        base = np.zeros((2, 3))
+        base[0, -1] = X.weights[0]
+        base[-1] = Y.weights - base[0]
+        want = mom.point_moments(info.basis, base.ravel())
+        assert np.abs(prob.free[0] - want).max() <= 1e-15
+
+
 class TestLowerBound:
     def test_reference_value(self, two_point_pair):
         X, Y = two_point_pair
@@ -96,6 +131,18 @@ class TestLowerBound:
         X = random_space(rng, 3)
         res = gw_lower_bound(X, X, level=1)
         assert res.value >= 0.0
+
+    @pytest.mark.parametrize("seed,index,level", [(1, 56, 1), (8, 43, 2)])
+    def test_former_dual_residual_stalls_converge(self, seed, index, level):
+        # pairs of the benchmark's small_batch workload, drawn by the same
+        # generator; a Schur ridge that was always on left the dual
+        # residual stuck at 1e-6 while mu went to zero
+        rng = np.random.default_rng(seed)
+        shapes = list(itertools.product([2, 3], [2, 3], [1, 2], [1, 2])) * 4
+        for m, n, p, q in shapes[:index + 1]:
+            X, Y = random_space(rng, m), random_space(rng, n)
+        res = gw_lower_bound(X, Y, p=p, q=q, level=level)
+        assert res.status == "optimal"
 
 
 class TestTensorRoundtrip:

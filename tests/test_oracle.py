@@ -118,6 +118,18 @@ class TestFaceEnumeration:
             res = brute_force_gw(X, X)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_marginals_exact_after_weight_renormalization(self):
+        # the weights sum to 1 + 5e-9, within the validation tolerance
+        X = MetricMeasureSpace(labels=["a", "b"],
+                               dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               weights=np.array([0.5, 0.5 + 5e-9]))
+        Y = MetricMeasureSpace(labels=["c", "d"],
+                               dist=np.array([[0.0, 0.5], [0.5, 0.0]]),
+                               weights=np.array([0.5, 0.5]))
+        pi = brute_force_gw(X, Y).coupling
+        assert np.abs(pi.sum(axis=1) - X.weights).max() <= 1e-15
+        assert np.abs(pi.sum(axis=0) - Y.weights).max() <= 1e-15
+
     def test_size_cap_refuses_4x5(self, rng):
         X, Y = random_space(rng, 4), random_space(rng, 5)
         with pytest.raises(ValidationError, match="cap"):

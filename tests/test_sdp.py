@@ -1,7 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from gwsos import sdp
+from gwsos import assemble_relaxation, sdp
+
+from conftest import random_space
 
 
 def analytic_problem():
@@ -72,6 +77,27 @@ class TestAnalyticInstances:
                               blocks=[blk])
         sol = sdp.solve(prob, max_iter=60)
         assert sol.status != "optimal"
+
+
+class TestFreeCoordinates:
+    def test_same_optimum_as_equality_path(self, rng):
+        X, Y = random_space(rng, 2), random_space(rng, 3)
+        for level in (1, 2):
+            prob, _ = assemble_relaxation(X, Y, p=2, q=1, level=level)
+            with_free = sdp.solve(prob)
+            without = sdp.solve(dataclasses.replace(prob, free=None))
+            assert with_free.status == without.status == "optimal"
+            assert with_free.objective_value == pytest.approx(
+                without.objective_value, abs=1e-6)
+
+    def test_min_norm_point_and_orthonormal_basis(self, rng):
+        basis = rng.normal(size=(7, 3))
+        offset = rng.normal(size=7)
+        y_p, N = sdp._free_coordinates(offset, basis)
+        assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
+        assert np.abs(N.T @ y_p).max() <= 1e-12
+        w = np.linalg.lstsq(basis, y_p - offset, rcond=None)[0]
+        assert np.abs(offset + basis @ w - y_p).max() <= 1e-12
 
 
 class TestDeterminism:
@@ -206,3 +232,19 @@ class TestSerialization:
         s0, s1 = sdp.solve(prob), sdp.solve(again)
         assert s1.objective_value == pytest.approx(s0.objective_value,
                                                    abs=1e-12)
+
+    def test_free_roundtrips_and_old_dumps_load(self, tmp_path, rng):
+        prob, _ = assemble_relaxation(random_space(rng, 2),
+                                      random_space(rng, 2), level=1)
+        path = tmp_path / "prob.json"
+        sdp.dump_problem(prob, path)
+        again = sdp.load_problem(path)
+        for a, b in zip(again.free, prob.free):
+            assert np.array_equal(a, b)
+        doc = json.loads(path.read_text())
+        del doc["free"]
+        path.write_text(json.dumps(doc))
+        old = sdp.load_problem(path)
+        assert old.free is None
+        assert sdp.solve(old).objective_value == pytest.approx(
+            sdp.solve(prob).objective_value, abs=1e-6)
