@@ -56,30 +56,23 @@ class RelaxationInfo:
 
 
 def _marginal_equalities(basis, m, n, mu, nu):
-    """Rows enforcing the coupling marginals on all low-degree moments."""
-    maxdeg = basis.maxdeg
-    low = basis.exponents[basis.degrees <= maxdeg - 1]
-    rows = []
-    for delta in low:
-        delta = delta.astype(np.int64)
-        base = basis.index(delta)
-        for i in range(m):
-            row = np.zeros(len(basis))
-            for j in range(n):
-                e = delta.copy()
-                e[pair_index(i, j, n)] += 1
-                row[basis.index(e)] += 1.0
-            row[base] -= mu[i]
-            rows.append(row)
-        for j in range(n):
-            row = np.zeros(len(basis))
-            for i in range(m):
-                e = delta.copy()
-                e[pair_index(i, j, n)] += 1
-                row[basis.index(e)] += 1.0
-            row[base] -= nu[j]
-            rows.append(row)
-    return np.asarray(rows)
+    """Rows enforcing the coupling marginals on all low-degree moments.
+
+    For each monomial d of degree below the top, in basis order, m row
+    identities sum_j y_{d+e_ij} - mu_i y_d and then n column identities.
+    """
+    low = np.flatnonzero(basis.degrees <= basis.maxdeg - 1)
+    shifts = np.eye(m * n, dtype=np.int64).reshape(m, n, m * n)
+    shifted = basis.index_rows(
+        (basis.exponents[low, None, None].astype(np.int64) + shifts)
+        .reshape(-1, m * n)).reshape(len(low), m, n)
+    rows = np.zeros((len(low), m + n, len(basis)))
+    d = np.arange(len(low))[:, None, None]
+    rows[d, np.arange(m)[:, None], shifted] = 1.0
+    rows[d, m + np.arange(n), shifted] = 1.0
+    rows[d[:, :, 0], np.arange(m), low[:, None]] -= mu
+    rows[d[:, :, 0], m + np.arange(n), low[:, None]] -= nu
+    return rows.reshape(-1, len(basis))
 
 
 def _substitution_map(basis, mu, nu):

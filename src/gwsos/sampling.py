@@ -160,28 +160,6 @@ def build_dyadic_partition(space: MetricMeasureSpace, k_star: int,
     return DyadicPartition(levels=tuple(levels), delta=delta, k_star=k_star)
 
 
-def check_dyadic_partition(part: DyadicPartition,
-                           space: MetricMeasureSpace) -> dict:
-    """Diameter and nesting diagnostics; all-zero slack means valid."""
-    diam_slack = 0.0
-    for k, level in enumerate(part.levels, start=1):
-        limit = part.delta ** k
-        for cell in level.cells:
-            cell = list(cell)
-            if len(cell) > 1:
-                diam = float(space.dist[np.ix_(cell, cell)].max())
-                diam_slack = max(diam_slack, diam - limit)
-    nested = True
-    for k in range(1, len(part.levels)):
-        coarse = {i: ci for ci, cell in enumerate(part.levels[k - 1].cells)
-                  for i in cell}
-        for cell in part.levels[k].cells:
-            if len({coarse[i] for i in cell}) > 1:
-                nested = False
-    return {"diameter_slack": diam_slack, "nested": nested,
-            "cells_per_level": [len(l.cells) for l in part.levels]}
-
-
 def level_discrepancy(partition: CellPartition, w1, w2) -> float:
     """Sum over cells of the absolute mass difference of two weightings."""
     w1 = np.asarray(w1, float)

@@ -17,7 +17,9 @@ splits one-dimensional blocks into a nonnegativity cone, and runs an
 infeasible-start primal-dual interior point method with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector.  The Schur complement
 is factored as it is, with a small ridge only when its Cholesky
-factorization fails.  Everything is dense numpy; results are
+factorization fails.  Everything is dense numpy.  The PSD blocks are
+stacked by size into (k, d, d) arrays, and every kernel of an iteration
+runs once per stack as a batched call, not once per block.  Results are
 deterministic for a fixed input.
 """
 
@@ -209,32 +211,32 @@ def _facial_reduction(G0, G, rel_tol=1e-9):
     if keep.all():
         return G0, G
     Vk = V[:, keep]
-    G0r = Vk.T @ G0 @ Vk
-    Gr = np.einsum("ai,nab,bj->nij", Vk, G, Vk, optimize=True) if len(G) \
-        else G.reshape(len(G), Vk.shape[1], Vk.shape[1])
-    return G0r, Gr
+    return Vk.T @ G0 @ Vk, Vk.T @ G @ Vk
+
+
+def _sym(A):
+    """Symmetric part of each matrix of a stack."""
+    return 0.5 * (A + A.mT)
 
 
 def _max_step(M, dM):
-    """Largest a in (0, 1] with M + a*dM staying positive definite."""
+    """Largest a in (0, 1] with every M[i] + a*dM[i] positive definite."""
     try:
-        L = np.linalg.cholesky(M)
+        Li = np.linalg.inv(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
         return 0.0
-    Z = linalg.solve_triangular(L, dM, lower=True)
-    Z = linalg.solve_triangular(L, Z.T, lower=True)
-    lam = np.linalg.eigvalsh(0.5 * (Z + Z.T))[0]
+    lam = np.linalg.eigvalsh(_sym(Li @ dM @ Li.mT))[:, 0].min()
     if lam >= 0:
         return 1.0
     return min(1.0, -_STEP_FRACTION / lam)
 
 
 def _nt_scaling(S, X):
-    """Factor R with R R' = W, where W is the point with W S W = X."""
+    """Factors R[i] R[i]' = W[i], the point with W[i] S[i] W[i] = X[i]."""
     Ls = np.linalg.cholesky(S)
     Lx = np.linalg.cholesky(X)
-    _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-    return Lx @ (Vt.T / np.sqrt(sig))
+    _, sig, Vt = np.linalg.svd(Ls.mT @ Lx)
+    return Lx @ (Vt.mT / np.sqrt(sig)[:, None, :])
 
 
 def _schur_factor(M):
@@ -248,6 +250,41 @@ def _schur_factor(M):
     except np.linalg.LinAlgError:
         ridge = 1e-13 * np.trace(M) / len(M)
         return np.linalg.cholesky(M + ridge * np.eye(len(M)))
+
+
+def _reduce_and_stack(blocks, y_p, N):
+    """Reduced data: a nonnegativity cone for 1x1 blocks, and stacks.
+
+    Blocks of one size d form a stack, in problem order: constants
+    (k, d, d) and coefficients (nz, k, d, d).  Each block is dropped once
+    stacked, so a stack is never held twice over.
+    """
+    nz = N.shape[1]
+    by_dim = {}
+    lp_g0, lp_G = [], []
+    for blk in blocks:
+        G0, G = _reduce_block(blk, y_p, N)
+        if blk.dim > 1:
+            G0, G = _facial_reduction(G0, G)
+            if len(G0) == 0:
+                continue
+        scale = 1.0 / max(1.0, np.abs(G0).max(),
+                          np.abs(G).max() if G.size else 0.0)
+        G0, G = G0 * scale, G * scale
+        if len(G0) == 1:
+            lp_g0.append(G0[0, 0])
+            lp_G.append(G[:, 0, 0] if nz else np.zeros(0))
+        else:
+            by_dim.setdefault(len(G0), []).append((G0, G))
+    G0 = G = None
+    G0s, Gs = [], []
+    for d in list(by_dim):
+        G0_list, G_list = zip(*by_dim.pop(d))
+        G0s.append(np.stack(G0_list))
+        Gs.append(np.stack(G_list, axis=1))
+        del G0_list, G_list
+    lp_g0 = np.asarray(lp_g0)
+    return lp_g0, np.asarray(lp_G).reshape(len(lp_g0), nz), G0s, Gs
 
 
 def solve(problem: SdpProblem,
@@ -270,31 +307,11 @@ def solve(problem: SdpProblem,
                            residuals={"equality_residual": float(eq_resid)})
     nz = N.shape[1]
 
-    # reduced data: psd blocks and a nonnegativity cone for 1x1 blocks
-    sdp_G0, sdp_G, dims, labels = [], [], [], []
-    lp_g0, lp_G = [], []
-    for blk in problem.blocks:
-        G0, G = _reduce_block(blk, y_p, N)
-        if blk.dim > 1:
-            G0, G = _facial_reduction(G0, G)
-            if len(G0) == 0:
-                continue
-        scale = 1.0 / max(1.0, np.abs(G0).max(),
-                          np.abs(G).max() if G.size else 0.0)
-        G0, G = G0 * scale, G * scale
-        if len(G0) == 1:
-            lp_g0.append(G0[0, 0])
-            lp_G.append(G[:, 0, 0] if nz else np.zeros(0))
-        else:
-            sdp_G0.append(G0)
-            sdp_G.append(G)
-            dims.append(len(G0))
-            labels.append(blk.label)
-    lp_g0 = np.asarray(lp_g0)
-    lp_G = np.asarray(lp_G).reshape(len(lp_g0), nz)
+    lp_g0, lp_G, G0s, Gs = _reduce_and_stack(problem.blocks, y_p, N)
     nlp = len(lp_g0)
-    nblk = len(dims)
-    Gflat = [G.reshape(nz, d * d) for G, d in zip(sdp_G, dims)]
+    nst = len(Gs)
+    Gflat = [G.reshape(nz, -1) for G in Gs]
+    G0_norm = [np.linalg.norm(G0, axis=(1, 2)) for G0 in G0s]
 
     c = N.T @ c_full
     obj_scale = 1.0 / max(1.0, np.abs(c).max() if nz else 1.0)
@@ -307,7 +324,7 @@ def solve(problem: SdpProblem,
                            residuals=residuals)
 
     if nz == 0:
-        lam_min = min((np.linalg.eigvalsh(G0)[0] for G0 in sdp_G0),
+        lam_min = min((np.linalg.eigvalsh(G0)[:, 0].min() for G0 in G0s),
                       default=0.0)
         lp_min = lp_g0.min() if nlp else 0.0
         ok = lam_min >= -feas_tol and lp_min >= -feas_tol
@@ -317,35 +334,39 @@ def solve(problem: SdpProblem,
 
     # infeasible start: z = 0, slacks pushed inside the cone
     z = np.zeros(nz)
-    S = []
-    for G0 in sdp_G0:
-        lam = np.linalg.eigvalsh(G0)[0]
-        S.append(G0 + max(1.0, -1.5 * lam) * np.eye(len(G0)))
-    X = [np.eye(d) for d in dims]
+    S, X = [], []
+    for G0 in G0s:
+        k, d, _ = G0.shape
+        lam = np.linalg.eigvalsh(G0)[:, 0]
+        S.append(G0 + np.maximum(1.0, -1.5 * lam)[:, None, None] * np.eye(d))
+        X.append(np.tile(np.eye(d), (k, 1, 1)))
     s_lp = np.maximum(1.0, lp_g0 + 1.0)
     x_lp = np.ones(nlp)
-    nu = sum(dims) + nlp
+    nu = sum(G0.shape[0] * G0.shape[1] for G0 in G0s) + nlp
+
+    def apply_G(v, s):
+        """sum_n v[n] G_n over stack s, as a (k, d, d) array."""
+        return (v @ Gflat[s]).reshape(G0s[s].shape)
 
     best_err = np.inf
     stall = 0
     residuals = {}
     for it in range(max_iter):
         # residuals of the current iterate
-        Rp = [S[b] - sdp_G0[b] - np.tensordot(z, sdp_G[b], axes=(0, 0))
-              for b in range(nblk)]
+        Rp = [S[s] - G0s[s] - apply_G(z, s) for s in range(nst)]
         r_lp = s_lp - lp_g0 - lp_G @ z if nlp else np.zeros(0)
         r_stat = c.copy()
-        for b in range(nblk):
-            r_stat -= Gflat[b] @ X[b].ravel()
+        for s in range(nst):
+            r_stat -= Gflat[s] @ X[s].ravel()
         if nlp:
             r_stat -= lp_G.T @ x_lp
-        gap = sum(np.tensordot(X[b], S[b]) for b in range(nblk)) + x_lp @ s_lp
+        gap = sum(np.vdot(X[s], S[s]) for s in range(nst)) + x_lp @ s_lp
         mu = gap / nu
         pobj = c @ z
-        dobj = -sum(np.tensordot(sdp_G0[b], X[b]) for b in range(nblk))
+        dobj = -sum(np.vdot(G0s[s], X[s]) for s in range(nst))
         dobj -= lp_g0 @ x_lp if nlp else 0.0
-        pres = max([np.linalg.norm(Rp[b]) / (1 + np.linalg.norm(sdp_G0[b]))
-                    for b in range(nblk)] +
+        pres = max([(np.linalg.norm(Rp[s], axis=(1, 2)) /
+                     (1 + G0_norm[s])).max() for s in range(nst)] +
                    ([np.abs(r_lp).max() / (1 + np.abs(lp_g0).max())]
                     if nlp else [0.0]))
         dres = np.abs(r_stat).max() / (1 + np.abs(c).max())
@@ -366,40 +387,40 @@ def solve(problem: SdpProblem,
 
         # Nesterov-Todd scaling and the Schur complement system
         try:
-            scal = [_nt_scaling(S[b], X[b]) for b in range(nblk)]
+            scal = [_nt_scaling(S[s], X[s]) for s in range(nst)]
         except np.linalg.LinAlgError:
             return finish(z, "numerical_failure", it, residuals)
+        Sinv = []
+        for s in range(nst):
+            Li = np.linalg.inv(np.linalg.cholesky(S[s]))
+            Sinv.append(Li.mT @ Li)
+        # the congruence runs block by block: a whole stack at once would
+        # make two stack-sized temporaries
         M = np.zeros((nz, nz))
-        for b in range(nblk):
-            R = scal[b]
-            Bf = np.einsum("ai,nab,bj->nij", R, sdp_G[b], R,
-                           optimize=True).reshape(nz, -1)
-            M += Bf @ Bf.T
+        for s in range(nst):
+            for i, R in enumerate(scal[s]):
+                Bf = (R.T @ Gs[s][:, i] @ R).reshape(nz, -1)
+                M += Bf @ Bf.T
         if nlp:
-            M += (lp_G.T * (x_lp / s_lp)) @ lp_G
+            Lw = lp_G * np.sqrt(x_lp / s_lp)[:, None]
+            M += Lw.T @ Lw
         try:
             Lm = _schur_factor(M)
         except np.linalg.LinAlgError:
             return finish(z, "numerical_failure", it, residuals)
 
-        Sinv = []
-        for b in range(nblk):
-            Ls = np.linalg.cholesky(S[b])
-            Si = linalg.solve_triangular(Ls, np.eye(dims[b]), lower=True)
-            Sinv.append(Si.T @ Si)
-
         def directions(sigma_mu, corr=None, corr_lp=None):
             targets = []
             rhs = -r_stat.copy()
-            for b in range(nblk):
-                R = scal[b]
-                Tb = sigma_mu * Sinv[b] - X[b]
+            for s in range(nst):
+                R = scal[s]
+                Ts = sigma_mu * Sinv[s] - X[s]
                 if corr is not None:
-                    Tb = Tb - corr[b]
-                Tb = 0.5 * (Tb + Tb.T)
-                targets.append(Tb)
-                Zb = Tb + R @ (R.T @ Rp[b] @ R) @ R.T
-                rhs += Gflat[b] @ (0.5 * (Zb + Zb.T)).ravel()
+                    Ts = Ts - corr[s]
+                Ts = _sym(Ts)
+                targets.append(Ts)
+                Zs = Ts + R @ (R.mT @ Rp[s] @ R) @ R.mT
+                rhs += Gflat[s] @ _sym(Zs).ravel()
             lp_target = np.zeros(0)
             if nlp:
                 lp_target = (sigma_mu - x_lp * s_lp) / s_lp
@@ -409,13 +430,12 @@ def solve(problem: SdpProblem,
             dz = linalg.cho_solve((Lm, True), rhs)
             dz += linalg.cho_solve((Lm, True), rhs - M @ dz)
             dS, dX = [], []
-            for b in range(nblk):
-                R = scal[b]
-                dSb = -Rp[b] + np.tensordot(dz, sdp_G[b], axes=(0, 0))
-                WdSW = R @ (R.T @ dSb @ R) @ R.T
-                dXb = targets[b] - WdSW
-                dX.append(0.5 * (dXb + dXb.T))
-                dS.append(0.5 * (dSb + dSb.T))
+            for s in range(nst):
+                R = scal[s]
+                dSs = -Rp[s] + apply_G(dz, s)
+                WdSW = R @ (R.mT @ dSs @ R) @ R.mT
+                dX.append(_sym(targets[s] - WdSW))
+                dS.append(_sym(dSs))
             if nlp:
                 ds_lp = -r_lp + lp_G @ dz
                 dx_lp = lp_target - (x_lp / s_lp) * ds_lp
@@ -424,9 +444,9 @@ def solve(problem: SdpProblem,
             return dz, dS, dX, ds_lp, dx_lp
 
         def step_lengths(dS, dX, ds_lp, dx_lp):
-            a_p = min([_max_step(X[b], dX[b]) for b in range(nblk)],
+            a_p = min([_max_step(X[s], dX[s]) for s in range(nst)],
                       default=1.0)
-            a_d = min([_max_step(S[b], dS[b]) for b in range(nblk)],
+            a_d = min([_max_step(S[s], dS[s]) for s in range(nst)],
                       default=1.0)
             if nlp:
                 neg = dx_lp < 0
@@ -442,14 +462,13 @@ def solve(problem: SdpProblem,
         # predictor
         dz, dS, dX, ds_lp, dx_lp = directions(0.0)
         a_p, a_d = step_lengths(dS, dX, ds_lp, dx_lp)
-        gap_aff = sum(np.tensordot(X[b] + a_p * dX[b], S[b] + a_d * dS[b])
-                      for b in range(nblk))
+        gap_aff = sum(np.vdot(X[s] + a_p * dX[s], S[s] + a_d * dS[s])
+                      for s in range(nst))
         gap_aff += (x_lp + a_p * dx_lp) @ (s_lp + a_d * ds_lp)
         sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
 
         # Mehrotra-style second-order correction from the affine direction
-        corr = [0.5 * (M2 + M2.T) for M2 in
-                (dX[b] @ dS[b] @ Sinv[b] for b in range(nblk))]
+        corr = [_sym(dX[s] @ dS[s] @ Sinv[s]) for s in range(nst)]
         corr_lp = dx_lp * ds_lp if nlp else None
 
         # corrector (reuses the factored Schur system)
@@ -463,9 +482,9 @@ def solve(problem: SdpProblem,
         if max(a_p, a_d) < 1e-10:
             return finish(z, "numerical_failure", it, residuals)
         z = z + a_d * dz
-        for b in range(nblk):
-            S[b] = S[b] + a_d * dS[b]
-            X[b] = X[b] + a_p * dX[b]
+        for s in range(nst):
+            S[s] = S[s] + a_d * dS[s]
+            X[s] = X[s] + a_p * dX[s]
         s_lp = s_lp + a_d * ds_lp
         x_lp = x_lp + a_p * dx_lp
 

@@ -6,8 +6,8 @@ from gwsos import (MetricMeasureSpace, ValidationError, brute_force_gw,
                    ground_circle, ground_finite, ground_interval,
                    ground_mixture, rate_bound, sample_empirical,
                    transport_upper_bound)
-from gwsos.sampling import (check_dyadic_partition, cost_profile,
-                            empirical_weights, level_discrepancy)
+from gwsos.sampling import (cost_profile, empirical_weights,
+                            level_discrepancy)
 
 from conftest import random_space
 
@@ -73,10 +73,16 @@ class TestDyadicPartition:
     def test_diameters_and_nesting(self):
         gd = ground_interval(32)
         part = build_dyadic_partition(gd.space, k_star=3)
-        report = check_dyadic_partition(part, gd.space)
-        assert report["diameter_slack"] <= 1e-12
-        assert report["nested"]
-        counts = report["cells_per_level"]
+        for k, level in enumerate(part.levels, start=1):
+            for cell in map(list, level.cells):
+                diam = gd.space.dist[np.ix_(cell, cell)].max()
+                assert diam <= part.delta ** k + 1e-12
+        for coarse, fine in zip(part.levels, part.levels[1:]):
+            owner = {i: c for c, cell in enumerate(coarse.cells)
+                     for i in cell}
+            for cell in fine.cells:  # each fine cell lies in one coarse cell
+                assert len({owner[i] for i in cell}) == 1
+        counts = [len(level.cells) for level in part.levels]
         assert counts == sorted(counts)  # refinement never merges cells
 
     def test_depth_capped_against_underflow(self):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from gwsos import assemble_relaxation, sdp
 
@@ -108,6 +109,71 @@ class TestDeterminism:
             assert s.objective_value == sols[0].objective_value
             assert s.iterations == sols[0].iterations
 
+    def test_bit_identical_reruns_with_stacks(self, rng):
+        prob, _ = assemble_relaxation(random_space(rng, 3),
+                                      random_space(rng, 3), level=2)
+        y_p, N = sdp._free_coordinates(*prob.free)
+        lp_g0, _, G0s, _ = sdp._reduce_and_stack(prob.blocks, y_p, N)
+        assert len(lp_g0) == 126
+        assert [G0.shape for G0 in G0s] == [(2, 15, 15), (36, 5, 5)]
+        first, again = sdp.solve(prob), sdp.solve(prob)
+        assert first.status == "optimal"
+        assert np.array_equal(again.y, first.y)
+        assert again.objective_value == first.objective_value
+        assert again.iterations == first.iterations
+
+
+def _random_pd_stack(rng, k, d):
+    A = rng.normal(size=(k, d, d))
+    return A @ A.mT + 0.1 * np.eye(d)
+
+
+class TestStacks:
+    def test_max_step_is_least_generalized_eigenvalue(self, rng):
+        M = _random_pd_stack(rng, 6, 4)
+        dM = _sym(3.0 * rng.normal(size=(6, 4, 4)))
+        lam = min(linalg.eigh(dM[i], M[i], eigvals_only=True)[0]
+                  for i in range(6))
+        assert lam < 0
+        want = min(1.0, -0.98 / lam)
+        assert sdp._max_step(M, dM) == pytest.approx(want, abs=1e-10)
+        assert sdp._max_step(M, 0.0 * dM) == 1.0
+
+    def test_max_step_zero_when_one_matrix_is_not_pd(self, rng):
+        M = _random_pd_stack(rng, 5, 3)
+        M[2] = np.diag([1.0, -1.0, 1.0])
+        dM = _sym(rng.normal(size=(5, 3, 3)))
+        assert sdp._max_step(M, dM) == 0.0
+
+    def test_block_order_does_not_change_optimum(self, rng):
+        # an elliptope block bounds y; the others are I + sum y_t A_t
+        nvars = 3
+        blocks = [sdp.PsdBlock(dim=3, const=np.eye(3),
+                               var_idx=np.array([0, 0, 1, 1, 2, 2]),
+                               rows=np.array([0, 1, 0, 2, 1, 2]),
+                               cols=np.array([1, 0, 2, 0, 2, 1]),
+                               vals=np.ones(6))]
+        for d in (1, 2, 3, 2):
+            rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+            coef = _sym(rng.normal(size=(nvars, d, d)))
+            blocks.append(sdp.PsdBlock(
+                dim=d, const=np.eye(d),
+                var_idx=np.repeat(np.arange(nvars), d * d),
+                rows=np.tile(rr.ravel(), nvars),
+                cols=np.tile(cc.ravel(), nvars), vals=coef.ravel()))
+        c = rng.normal(size=nvars)
+
+        def solve(order):
+            return sdp.solve(sdp.SdpProblem(
+                nvars=nvars, objective=c, eq_lhs=np.zeros((0, nvars)),
+                eq_rhs=np.zeros(0), blocks=[blocks[i] for i in order]))
+
+        assert [blocks[i].dim for i in range(5)] == [3, 1, 2, 3, 2]
+        a, b = solve([0, 1, 2, 3, 4]), solve([4, 3, 1, 2, 0])
+        assert a.status == b.status == "optimal"
+        assert a.objective_value == pytest.approx(b.objective_value,
+                                                  abs=1e-8)
+
 
 @pytest.fixture
 def svd_calls(monkeypatch):
@@ -211,7 +277,7 @@ class TestFacialReduction:
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 class TestSerialization:
