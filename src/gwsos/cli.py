@@ -127,7 +127,8 @@ def cmd_lower_bound(x_file, y_file, level, p, q, output,
         sys.exit(EXIT_INPUT)
     _emit({"value": res.value, "root": res.root,
            "raw_objective": res.raw_objective, "status": res.status,
-           "iterations": res.iterations, "residuals": res.residuals},
+           "iterations": res.iterations, "residuals": res.residuals,
+           "symmetries": res.symmetries},
           manifest, started, output)
     sys.exit(EXIT_OK if res.status == "optimal" else EXIT_SOLVER)
 

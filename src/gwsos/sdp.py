@@ -15,9 +15,11 @@ does; when A has at least as many rows as columns, one thin SVD yields
 both the particular solution and the nullspace basis.  The solver then
 splits one-dimensional blocks into a nonnegativity cone, and runs an
 infeasible-start primal-dual interior point method with Nesterov-Todd
-scaling and a Mehrotra-style predictor-corrector.  The Schur complement
-is factored as it is, with a small ridge only when its Cholesky
-factorization fails.  Everything is dense numpy.  The PSD blocks are
+scaling and a Mehrotra-style predictor-corrector.  Each iteration
+factors every S and X block once by Cholesky; the factors and their
+inverses serve the scaling, S^-1 and every step length.  The Schur
+complement is factored as it is, with a small ridge only when its
+Cholesky factorization fails.  Everything is dense numpy.  The PSD blocks are
 stacked by size into (k, d, d) arrays, and every kernel of an iteration
 runs once per stack as a batched call, not once per block.  Results are
 deterministic for a fixed input.
@@ -219,22 +221,22 @@ def _sym(A):
     return 0.5 * (A + A.mT)
 
 
-def _max_step(M, dM):
-    """Largest a in (0, 1] with every M[i] + a*dM[i] positive definite."""
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(M))
-    except np.linalg.LinAlgError:
-        return 0.0
+def _max_step(Li, dM):
+    """Largest a in (0, 1] with every M[i] + a*dM[i] positive definite.
+
+    Li[i] is the inverse of the Cholesky factor of M[i].
+    """
     lam = np.linalg.eigvalsh(_sym(Li @ dM @ Li.mT))[:, 0].min()
     if lam >= 0:
         return 1.0
     return min(1.0, -_STEP_FRACTION / lam)
 
 
-def _nt_scaling(S, X):
-    """Factors R[i] R[i]' = W[i], the point with W[i] S[i] W[i] = X[i]."""
-    Ls = np.linalg.cholesky(S)
-    Lx = np.linalg.cholesky(X)
+def _nt_scaling(Ls, Lx):
+    """Factors R[i] R[i]' = W[i], the point with W[i] S[i] W[i] = X[i].
+
+    Ls and Lx are the Cholesky factors of S and X.
+    """
     _, sig, Vt = np.linalg.svd(Ls.mT @ Lx)
     return Lx @ (Vt.mT / np.sqrt(sig)[:, None, :])
 
@@ -385,15 +387,17 @@ def solve(problem: SdpProblem,
                       if pres > 1e3 * feas_tol else "numerical_failure")
             return finish(z, status, it, residuals)
 
-        # Nesterov-Todd scaling and the Schur complement system
+        # one Cholesky factorization and inverse of each iterate serve the
+        # Nesterov-Todd scaling, S^-1 and every step length
         try:
-            scal = [_nt_scaling(S[s], X[s]) for s in range(nst)]
+            Ls = [np.linalg.cholesky(S[s]) for s in range(nst)]
+            Lx = [np.linalg.cholesky(X[s]) for s in range(nst)]
+            scal = [_nt_scaling(Ls[s], Lx[s]) for s in range(nst)]
         except np.linalg.LinAlgError:
             return finish(z, "numerical_failure", it, residuals)
-        Sinv = []
-        for s in range(nst):
-            Li = np.linalg.inv(np.linalg.cholesky(S[s]))
-            Sinv.append(Li.mT @ Li)
+        Lsi = [np.linalg.inv(L) for L in Ls]
+        Lxi = [np.linalg.inv(L) for L in Lx]
+        Sinv = [L.mT @ L for L in Lsi]
         # the congruence runs block by block: a whole stack at once would
         # make two stack-sized temporaries
         M = np.zeros((nz, nz))
@@ -444,9 +448,9 @@ def solve(problem: SdpProblem,
             return dz, dS, dX, ds_lp, dx_lp
 
         def step_lengths(dS, dX, ds_lp, dx_lp):
-            a_p = min([_max_step(X[s], dX[s]) for s in range(nst)],
+            a_p = min([_max_step(Lxi[s], dX[s]) for s in range(nst)],
                       default=1.0)
-            a_d = min([_max_step(S[s], dS[s]) for s in range(nst)],
+            a_d = min([_max_step(Lsi[s], dS[s]) for s in range(nst)],
                       default=1.0)
             if nlp:
                 neg = dx_lp < 0

@@ -11,6 +11,7 @@ import numpy as np
 TRIANGLE_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 DIAMETER_TOL = 1e-9
+MAX_ISOMETRY_NODES = 1024  # partial assignments one isometry search visits
 
 _KNOWN_FIELDS = {"labels", "dist", "weights", "name"}
 
@@ -103,6 +104,55 @@ def validate_space(space: MetricMeasureSpace,
     total = float(w.sum())
     if abs(total - 1.0) > weight_tol:
         raise ValidationError(f"weights sum to {total}, expected 1")
+
+
+def isometries(space: MetricMeasureSpace) -> list:
+    """Point permutations that keep every distance and every weight.
+
+    Distances and weights are compared with ``==``: a tolerance would let
+    a nearly symmetric space pass as symmetric, and a relaxation reduced
+    by a false symmetry can bound above the true optimum.  Backtracking
+    assigns images to points 0, 1, ... in turn, each to an unused point
+    of equal weight and equal sorted distance row whose distances to the
+    images so far match.  The search stops after ``MAX_ISOMETRY_NODES``
+    partial assignments, so on very symmetric spaces it returns only some
+    of the isometries; every one returned is exact, and the identity
+    comes first.
+    """
+    d, w = space.dist, space.weights
+    n = space.size
+    rows = np.sort(d, axis=1)
+    kinds = {}
+    kind = np.array([kinds.setdefault((w[i], rows[i].tobytes()), len(kinds))
+                     for i in range(n)])
+    if len(kinds) == n:
+        return [np.arange(n)]
+    image = np.full(n, -1)
+    free = np.ones(n, dtype=bool)
+
+    def options(i):
+        """Images point i may take given image[:i], smallest on top."""
+        js = np.flatnonzero((kind == kind[i]) & free)
+        js = js[(d[np.ix_(js, image[:i])] == d[i, :i]).all(axis=1)]
+        return list(js[::-1])
+
+    found, stack, nodes = [], [options(0)], 0
+    while stack and nodes < MAX_ISOMETRY_NODES:
+        i = len(stack) - 1
+        if image[i] >= 0:
+            free[image[i]] = True
+            image[i] = -1
+        if not stack[i]:
+            stack.pop()
+            continue
+        j = stack[i].pop()
+        image[i], free[j] = j, False
+        nodes += 1
+        if i + 1 == n:
+            found.append(image.copy())
+        else:
+            stack.append(options(i + 1))
+    return found or [np.arange(n)]
 
 
 def load_space(source) -> MetricMeasureSpace:

@@ -52,6 +52,17 @@ class TestLowerBound:
         assert all(len(d) == 16 for d in man["inputs"].values())
         assert man["elapsed_s"] >= 0
 
+    def test_symmetric_pair_reports_its_symmetries(self, runner, files):
+        # each two-point space with equal weights has the swap
+        rec = record(runner.invoke(main, ["lower-bound", files["a"],
+                                          files["b"]]))
+        assert rec["symmetries"] == 4
+
+    def test_asymmetric_pair_reports_one_symmetry(self, runner, files):
+        result = runner.invoke(main, ["lower-bound", files["c"], files["c"]])
+        assert result.exit_code == 0
+        assert record(result)["symmetries"] == 1
+
     def test_missing_file_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["lower-bound",
                                       str(tmp_path / "no.json"),

@@ -9,7 +9,9 @@ from gwsos import (MetricMeasureSpace, ValidationError, assemble_relaxation,
                    gw_lower_bound, moments_to_tensor_measure,
                    product_coupling, tensor_measure_to_moments)
 from gwsos import moments as mom
-from gwsos.hierarchy import pair_index
+from gwsos import sdp
+from gwsos.geometry import concentrate_space, partition_from_cells
+from gwsos.spaces import isometries
 
 from conftest import random_space
 
@@ -50,10 +52,6 @@ class TestAssembly:
             y = mom.point_moments(info.basis, pi.ravel())
             resid = np.abs(prob.eq_lhs @ y - prob.eq_rhs).max()
             assert resid <= 1e-12
-
-    def test_pair_index_layout(self):
-        assert pair_index(0, 0, 3) == 0
-        assert pair_index(1, 2, 3) == 5
 
 
 def assert_free_spans_equalities(X, Y, level):
@@ -143,6 +141,88 @@ class TestLowerBound:
             X, Y = random_space(rng, m), random_space(rng, n)
         res = gw_lower_bound(X, Y, p=p, q=q, level=level)
         assert res.status == "optimal"
+
+
+def line(*points):
+    """Uniform weights on points of [0, 1]."""
+    pts = np.array(points, dtype=float)
+    return MetricMeasureSpace(labels=[f"p{i}" for i in range(len(pts))],
+                              dist=np.abs(pts[:, None] - pts[None, :]),
+                              weights=np.full(len(pts), 1 / len(pts)))
+
+
+# dyadic points keep every distance exact, so the reflections are isometries
+LINES = {2: line(0, 1), 3: line(0, 0.5, 1), 4: line(0, 0.25, 0.75, 1)}
+
+
+def square():
+    """Corners of a square of side 1/2 under the l1 metric (8 isometries)."""
+    corners = np.array([[0, 0], [0, 0.5], [0.5, 0.5], [0.5, 0]])
+    return MetricMeasureSpace(
+        labels=list("abcd"), weights=np.full(4, 0.25),
+        dist=np.abs(corners[:, None] - corners[None]).sum(axis=-1))
+
+
+def concentration_pair():
+    """16 interval midpoints against their 4-cell coarsening."""
+    fine = line(*((np.arange(16) + 0.5) / 16))
+    cells = [tuple(range(4 * k, 4 * k + 4)) for k in range(4)]
+    part = partition_from_cells(fine, cells, [1, 5, 9, 13])
+    return fine, concentrate_space(fine, part)
+
+
+def assert_reduction_exact(X, Y, level, symmetries):
+    res = gw_lower_bound(X, Y, level=level)
+    prob, _ = assemble_relaxation(X, Y, level=level)
+    direct = sdp.solve(prob)
+    assert res.symmetries == symmetries
+    assert res.status == direct.status == "optimal"
+    assert abs(res.raw_objective - direct.objective_value) <= 1e-6
+    return res
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("m,n,level", [
+        (m, n, level) for m, n in [(2, 2), (2, 3), (3, 3), (3, 4)]
+        for level in (1, 2)])
+    def test_dyadic_lines_match_direct_solve(self, m, n, level):
+        assert_reduction_exact(LINES[m], LINES[n], level, 4)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_square_against_line_matches_direct_solve(self, level):
+        assert_reduction_exact(square(), LINES[3], level, 16)
+
+    def test_concentration_pair_matches_direct_solve(self):
+        fine, coarse = concentration_pair()
+        assert_reduction_exact(fine, coarse, 1, 4)
+
+    def test_capped_search_still_exact(self):
+        # the equidistant space has 8! isometries; the search finds some
+        space = MetricMeasureSpace(labels=list("abcdefgh"),
+                                   dist=1.0 - np.eye(8),
+                                   weights=np.full(8, 1 / 8))
+        found = len(isometries(space))
+        assert 1 < found < 40320
+        assert_reduction_exact(space, LINES[2], 1, 2 * found)
+
+    def test_trivial_group_solves_the_assembled_problem(self, rng):
+        X, Y = random_space(rng, 3), random_space(rng, 2)
+        res = gw_lower_bound(X, Y, level=1)
+        prob, _ = assemble_relaxation(X, Y, level=1)
+        direct = sdp.solve(prob)
+        assert res.symmetries == 1
+        assert np.array_equal(res.moments, direct.y)
+        assert res.iterations == direct.iterations
+
+    def test_expanded_moments_are_a_tensor_measure(self):
+        X, Y = square(), LINES[3]
+        res = gw_lower_bound(X, Y, level=1)
+        assert res.symmetries == 16
+        T = moments_to_tensor_measure(res.moments, 4, 3, level=1)
+        assert check_tensor_measure(T, X.weights, Y.weights,
+                                    tol=1e-6).passed
+        back = tensor_measure_to_moments(T)
+        assert np.abs(back - res.moments).max() <= 1e-12
 
 
 class TestTensorRoundtrip:

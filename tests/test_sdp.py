@@ -136,14 +136,9 @@ class TestStacks:
                   for i in range(6))
         assert lam < 0
         want = min(1.0, -0.98 / lam)
-        assert sdp._max_step(M, dM) == pytest.approx(want, abs=1e-10)
-        assert sdp._max_step(M, 0.0 * dM) == 1.0
-
-    def test_max_step_zero_when_one_matrix_is_not_pd(self, rng):
-        M = _random_pd_stack(rng, 5, 3)
-        M[2] = np.diag([1.0, -1.0, 1.0])
-        dM = _sym(rng.normal(size=(5, 3, 3)))
-        assert sdp._max_step(M, dM) == 0.0
+        Li = np.linalg.inv(np.linalg.cholesky(M))
+        assert sdp._max_step(Li, dM) == pytest.approx(want, abs=1e-10)
+        assert sdp._max_step(Li, 0.0 * dM) == 1.0
 
     def test_block_order_does_not_change_optimum(self, rng):
         # an elliptope block bounds y; the others are I + sum y_t A_t

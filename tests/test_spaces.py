@@ -10,7 +10,8 @@ from gwsos import (Coupling, MetricMeasureSpace, ValidationError,
                    build_cost_tensor, lipschitz_constant, load_space,
                    merge_coincident_points, normalize_diameter,
                    product_coupling)
-from gwsos.spaces import space_to_dict
+from gwsos.sampling import ground_circle, ground_interval
+from gwsos.spaces import isometries, space_to_dict
 
 from conftest import random_space
 
@@ -209,3 +210,45 @@ class TestCoupling:
             Coupling(pi=np.array([[0.6, -0.1], [0.0, 0.5]]),
                      mu=np.array([0.5, 0.5]),
                      nu=np.array([0.6, 0.4]))
+
+
+class TestIsometries:
+    def assert_exact(self, space, perms):
+        assert np.array_equal(perms[0], np.arange(space.size))
+        assert len({p.tobytes() for p in perms}) == len(perms)
+        for p in perms:
+            assert np.array_equal(space.dist[np.ix_(p, p)], space.dist)
+            assert np.array_equal(space.weights[p], space.weights)
+
+    def test_interval_has_its_reflection(self):
+        space = ground_interval(64).space
+        perms = isometries(space)
+        assert len(perms) == 2
+        self.assert_exact(space, perms)
+
+    def test_circle_has_its_dihedral_group(self):
+        space = ground_circle(16).space
+        perms = isometries(space)
+        assert len(perms) == 32
+        self.assert_exact(space, perms)
+
+    def test_third_spaced_grid_is_trivial(self):
+        # 1 - 2/3 != 1/3 in floating point, so the reflection is inexact
+        pts = np.array([0.0, 1 / 3, 2 / 3, 1.0])
+        assert 1.0 - 2 / 3 != 1 / 3
+        space = make(np.abs(pts[:, None] - pts[None, :]), [0.25] * 4)
+        assert len(isometries(space)) == 1
+
+    def test_weights_one_bit_apart_are_trivial(self):
+        w = np.array([0.5, np.nextafter(0.5, 1.0)])
+        space = make([[0, 1], [1, 0]], w)
+        assert space.weights[0] != space.weights[1]
+        assert len(isometries(space)) == 1
+        assert len(isometries(make([[0, 1], [1, 0]], [0.5, 0.5]))) == 2
+
+    def test_search_stops_at_its_cap(self):
+        # the equidistant space has all 8! permutations as isometries
+        space = make(1.0 - np.eye(8), np.full(8, 1 / 8))
+        perms = isometries(space)
+        assert 1 < len(perms) < 40320
+        self.assert_exact(space, perms)
