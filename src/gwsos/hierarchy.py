@@ -10,13 +10,11 @@ vectors.  Level r uses moments up to degree 2r and imposes:
     analogue) for every monomial d of degree at most 2r - 1;
   * one truncated PSD block per squarefree even-cardinality subset I of
     the coupling entries, with rows indexed by the monomials of degree
-    exactly r - |I|/2 and entries y_{a+b+I};
-  * the full moment matrix over all monomials of degree at most r as one
-    more PSD block.  With sum pi = 1 the "trunc" block and the marginal
-    identities already imply it; it stays because the interior-point
-    method converges worse without it: the 16x4 level-1 concentration
-    instance takes 59 instead of 37 iterations, and one 3x3 level-2 solve
-    stalls.
+    exactly r - |I|/2 and entries y_{a+b+I}.
+
+The full moment matrix over all monomials of degree at most r is not a
+block: with sum pi = 1 the "trunc" block and the marginal identities
+already imply that it is PSD.
 
 Moment vectors of feasible couplings satisfy every constraint, so each
 level's optimum is a true lower bound, and levels are monotone.
@@ -33,8 +31,9 @@ the objective, the marginal identities and the set of blocks unchanged,
 so averaging a feasible moment vector over the group they generate gives
 a feasible one with the same objective: some optimum is constant on the
 orbits of monomials.  :func:`reduce_by_symmetry` solves over one moment
-per orbit and keeps one block of each orbit of blocks (one LP row per
-orbit of subsets I at the top degree).  The reduction is exact only when
+per orbit, on the orbit average of the solved marginal identities, and
+keeps one block of each orbit of blocks (one LP row per orbit of subsets
+I at the top degree).  The reduction is exact only when
 every permutation keeps every distance and weight exactly, which is why
 :func:`gwsos.spaces.isometries` compares with ``==``; a subset of the
 isometries, as a capped search returns, still gives the exact orbits of
@@ -137,9 +136,6 @@ def _localizing_blocks(basis, level):
             table = mom.index_table(basis, row_exps, shift)
             label = f"loc[{','.join(map(str, subset))}]" if subset else "trunc"
             blocks.append(sdp.PsdBlock.from_index_table(table, label=label))
-    row_exps = basis.exponents[basis.degrees <= level].astype(np.int64)
-    table = mom.index_table(basis, row_exps)
-    blocks.append(sdp.PsdBlock.from_index_table(table, label="moment"))
     return blocks
 
 
@@ -204,17 +200,32 @@ def _orbit_labels(perms):
         label = new
 
 
+def _range_basis(A):
+    """Orthonormal basis of the column space of A, by one thin SVD.
+
+    Singular values at or below max(A.shape) * eps times the largest are
+    dropped; a matrix without columns gives an empty basis.
+    """
+    U, sv = np.linalg.svd(A, full_matrices=False)[:2]
+    rtol = max(A.shape) * np.finfo(float).eps
+    rank = int((sv > rtol * sv[0]).sum()) if len(sv) else 0
+    return U[:, :rank]
+
+
 def reduce_by_symmetry(problem, basis, entry_perms):
     """Restrict a relaxation to moment vectors constant on orbits.
 
     A coupling-entry permutation acts on monomials by renaming variables.
     Moments are relabelled by their orbit u under the group the
-    permutations generate, with y = u[orbit]; the objective and the
-    equality columns are summed over each orbit.  Blocks that a
+    permutations generate, with y = u[orbit]; the objective is summed over
+    each orbit.  The group maps the affine set ``free`` onto itself, so
+    its invariant points are its image under the group average, which is
+    the orbit mean: the reduced set is the orbit mean of the offset plus
+    the range of the orbit means of the basis rows.  Blocks that a
     permutation maps onto each other agree up to a simultaneous
     row and column permutation at every invariant y, so one block of each
     such orbit stays, the first in problem order.  Returns the reduced
-    problem, stated by its equalities alone, and ``orbit``.
+    problem and ``orbit``.
     """
     mono = [basis.index_rows(basis.exponents[:, np.argsort(perm)])
             for perm in entry_perms]
@@ -226,13 +237,16 @@ def reduce_by_symmetry(problem, basis, entry_perms):
     first = _orbit_labels(block_perms) == np.arange(len(blocks))
     order = np.argsort(orbit, kind="stable")
     starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
+    sizes = np.diff(np.append(starts, len(orbit)))
 
     def orbit_sum(a):
-        return np.add.reduceat(a[..., order], starts, axis=-1)
+        return np.add.reduceat(a[order], starts, axis=0)
 
+    offset, L = problem.free
     reduced = sdp.SdpProblem(
         nvars=len(starts), objective=orbit_sum(problem.objective),
-        eq_lhs=orbit_sum(problem.eq_lhs), eq_rhs=problem.eq_rhs,
+        free=(orbit_sum(offset) / sizes,
+              _range_basis(orbit_sum(L) / sizes[:, None])),
         blocks=[dataclasses.replace(b, var_idx=orbit[b.var_idx])
                 for b, keep in zip(blocks, first) if keep])
     return reduced, orbit

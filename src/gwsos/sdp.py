@@ -3,26 +3,27 @@
 Problems are stated over a moment-style variable vector y:
 
     minimize    c' y
-    subject to  A y = b
+    subject to  y in {offset + basis @ w}
                 S_b(y) = C_b + sum_t vals_t y[var_t] E(rows_t, cols_t)  psd
 
-The solver works in orthonormal coordinates of the affine set {A y = b},
-so the equalities hold to machine precision at every iterate.  A problem
-may state that set explicitly as ``free = (offset, basis)``, meaning
-{A y = b} = {offset + basis @ w}; then a thin QR of ``basis`` gives the
-coordinates and no factorization of A is needed.  Otherwise an SVD of A
-does; when A has at least as many rows as columns, one thin SVD yields
-both the particular solution and the nullspace basis.  The solver then
+The caller states the affine set as ``free = (offset, basis)``; a thin QR
+of ``basis`` gives orthonormal coordinates of it, so the affine
+constraints hold to machine precision at every iterate and no equality
+matrix is factored.  ``eq_lhs``/``eq_rhs`` may record equalities with
+the same solutions; the solver does not read them.  The solver then
 splits one-dimensional blocks into a nonnegativity cone, and runs an
 infeasible-start primal-dual interior point method with Nesterov-Todd
-scaling and a Mehrotra-style predictor-corrector.  Each iteration
-factors every S and X block once by Cholesky; the factors and their
-inverses serve the scaling, S^-1 and every step length.  The Schur
-complement is factored as it is, with a small ridge only when its
-Cholesky factorization fails.  Everything is dense numpy.  The PSD blocks are
-stacked by size into (k, d, d) arrays, and every kernel of an iteration
-runs once per stack as a batched call, not once per block.  Results are
-deterministic for a fixed input.
+scaling and a Mehrotra-style predictor-corrector.  Primal and dual
+iterates move by one common step length, as in the infeasible IPM of
+Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let the
+primal step collapse while the dual one stays long, and the solve can
+stall.  Each iteration factors every S and X block once by Cholesky; the
+factors and their inverses serve the scaling, S^-1 and every step
+length.  The Schur complement is factored as it is, with a small ridge
+only when its Cholesky factorization fails.  Everything is dense numpy.
+The PSD blocks are stacked by size into (k, d, d) arrays, and every
+kernel of an iteration runs once per stack as a batched call, not once
+per block.  Results are deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -75,20 +76,20 @@ class PsdBlock:
 class SdpProblem:
     nvars: int
     objective: np.ndarray
-    eq_lhs: np.ndarray  # (neq, nvars)
-    eq_rhs: np.ndarray  # (neq,)
     blocks: list
-    # (offset (nvars,), basis (nvars, nfree)) with
-    # {y : eq_lhs y = eq_rhs} = {offset + basis @ w}, or None
-    free: tuple | None = None
+    # (offset (nvars,), basis (nvars, nfree)): the feasible y are
+    # {offset + basis @ w}
+    free: tuple
+    # equalities with the same solution set, kept for dumps and counters
+    eq_lhs: np.ndarray = ()  # (neq, nvars)
+    eq_rhs: np.ndarray = ()  # (neq,)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
+        self.free = tuple(np.asarray(a, dtype=float) for a in self.free)
         self.eq_lhs = np.asarray(self.eq_lhs, dtype=float).reshape(
             -1, self.nvars)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
-        if self.free is not None:
-            self.free = tuple(np.asarray(a, dtype=float) for a in self.free)
 
 
 @dataclasses.dataclass
@@ -106,7 +107,7 @@ def dump_problem(problem: SdpProblem, path) -> None:
         "objective": problem.objective.tolist(),
         "eq_lhs": problem.eq_lhs.tolist(),
         "eq_rhs": problem.eq_rhs.tolist(),
-        "free": None if problem.free is None else {
+        "free": {
             "offset": problem.free[0].tolist(),
             "basis": problem.free[1].tolist(),
         },
@@ -136,48 +137,21 @@ def load_problem(path) -> SdpProblem:
                        label=b.get("label", ""))
               for b in doc["blocks"]]
     free = doc.get("free")
+    if free is None:
+        raise ValueError(f"{path}: no 'free' key; the solver needs the "
+                         "affine set as free = {offset, basis}")
     return SdpProblem(nvars=doc["nvars"],
                       objective=np.asarray(doc["objective"], dtype=float),
                       eq_lhs=np.asarray(doc["eq_lhs"], dtype=float),
                       eq_rhs=np.asarray(doc["eq_rhs"], dtype=float),
                       blocks=blocks,
-                      free=None if free is None else (free["offset"],
-                                                      free["basis"]))
+                      free=(free["offset"], free["basis"]))
 
 
 def _free_coordinates(offset, basis):
     """Min-norm point and an orthonormal basis of {offset + basis @ w}."""
     N = np.linalg.qr(basis)[0]
     return offset - N @ (N.T @ offset), N
-
-
-def _eliminate_equalities(A, b):
-    """Min-norm particular solution and an orthonormal nullspace basis.
-
-    When A has at least as many rows as columns, the thin SVD's Vt is
-    already square and holds the nullspace basis; only a wide A needs the
-    full factorization to complete it.
-    """
-    nvars = A.shape[1]
-    if A.shape[0] == 0:
-        return np.zeros(nvars), np.eye(nvars), 0.0
-    norms = np.linalg.norm(A, axis=1)
-    keep = norms > 0
-    bad = (~keep) & (np.abs(b) > 1e-12)
-    if bad.any():
-        return None, None, np.inf
-    A, b, norms = A[keep], b[keep], norms[keep]
-    A = A / norms[:, None]
-    b = b / norms
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    rtol = max(A.shape) * np.finfo(float).eps
-    rank = int((s > rtol * s[0]).sum()) if len(s) else 0
-    y_p = Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-    if len(Vt) < nvars:
-        Vt = np.linalg.svd(A, full_matrices=True)[2]
-    N = Vt[rank:].T
-    resid = np.linalg.norm(A @ y_p - b) / (1.0 + np.linalg.norm(b))
-    return y_p, N, resid
 
 
 def _reduce_block(blk, y_p, N):
@@ -295,18 +269,7 @@ def solve(problem: SdpProblem,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve an SDP; see the module docstring for the problem format."""
     c_full = problem.objective
-    if problem.free is None:
-        y_p, N, eq_resid = _eliminate_equalities(problem.eq_lhs,
-                                                 problem.eq_rhs)
-    else:
-        y_p, N = _free_coordinates(*problem.free)
-        eq_resid = 0.0
-    if y_p is None or eq_resid > 1e-8:
-        return SdpSolution(y=np.zeros(problem.nvars),
-                           objective_value=np.nan,
-                           status="infeasible_suspected",
-                           iterations=0,
-                           residuals={"equality_residual": float(eq_resid)})
+    y_p, N = _free_coordinates(*problem.free)
     nz = N.shape[1]
 
     lp_g0, lp_G, G0s, Gs = _reduce_and_stack(problem.blocks, y_p, N)
@@ -447,28 +410,23 @@ def solve(problem: SdpProblem,
                 ds_lp = dx_lp = np.zeros(0)
             return dz, dS, dX, ds_lp, dx_lp
 
-        def step_lengths(dS, dX, ds_lp, dx_lp):
-            a_p = min([_max_step(Lxi[s], dX[s]) for s in range(nst)],
-                      default=1.0)
-            a_d = min([_max_step(Lsi[s], dS[s]) for s in range(nst)],
-                      default=1.0)
-            if nlp:
-                neg = dx_lp < 0
+        def step_length(dS, dX, ds_lp, dx_lp):
+            """One length for primal and dual: the shorter of the two."""
+            a = min([_max_step(Lxi[s], dX[s]) for s in range(nst)] +
+                    [_max_step(Lsi[s], dS[s]) for s in range(nst)],
+                    default=1.0)
+            for v, dv in ((x_lp, dx_lp), (s_lp, ds_lp)):
+                neg = dv < 0
                 if neg.any():
-                    a_p = min(a_p, _STEP_FRACTION *
-                              (x_lp[neg] / -dx_lp[neg]).min())
-                neg = ds_lp < 0
-                if neg.any():
-                    a_d = min(a_d, _STEP_FRACTION *
-                              (s_lp[neg] / -ds_lp[neg]).min())
-            return min(a_p, 1.0), min(a_d, 1.0)
+                    a = min(a, _STEP_FRACTION * (v[neg] / -dv[neg]).min())
+            return min(a, 1.0)
 
         # predictor
         dz, dS, dX, ds_lp, dx_lp = directions(0.0)
-        a_p, a_d = step_lengths(dS, dX, ds_lp, dx_lp)
-        gap_aff = sum(np.vdot(X[s] + a_p * dX[s], S[s] + a_d * dS[s])
+        a = step_length(dS, dX, ds_lp, dx_lp)
+        gap_aff = sum(np.vdot(X[s] + a * dX[s], S[s] + a * dS[s])
                       for s in range(nst))
-        gap_aff += (x_lp + a_p * dx_lp) @ (s_lp + a_d * ds_lp)
+        gap_aff += (x_lp + a * dx_lp) @ (s_lp + a * ds_lp)
         sigma = min(1.0, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
 
         # Mehrotra-style second-order correction from the affine direction
@@ -477,19 +435,19 @@ def solve(problem: SdpProblem,
 
         # corrector (reuses the factored Schur system)
         dz, dS, dX, ds_lp, dx_lp = directions(sigma * mu, corr, corr_lp)
-        a_p, a_d = step_lengths(dS, dX, ds_lp, dx_lp)
-        if min(a_p, a_d) < 0.05:
+        a = step_length(dS, dX, ds_lp, dx_lp)
+        if a < 0.05:
             # poor centrality: fall back to a pure centering step
             sigma = max(sigma, 0.9)
             dz, dS, dX, ds_lp, dx_lp = directions(sigma * mu)
-            a_p, a_d = step_lengths(dS, dX, ds_lp, dx_lp)
-        if max(a_p, a_d) < 1e-10:
+            a = step_length(dS, dX, ds_lp, dx_lp)
+        if a < 1e-10:
             return finish(z, "numerical_failure", it, residuals)
-        z = z + a_d * dz
+        z = z + a * dz
         for s in range(nst):
-            S[s] = S[s] + a_d * dS[s]
-            X[s] = X[s] + a_p * dX[s]
-        s_lp = s_lp + a_d * ds_lp
-        x_lp = x_lp + a_p * dx_lp
+            S[s] = S[s] + a * dS[s]
+            X[s] = X[s] + a * dX[s]
+        s_lp = s_lp + a * ds_lp
+        x_lp = x_lp + a * dx_lp
 
     return finish(z, "max_iterations", max_iter, residuals)

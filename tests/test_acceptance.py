@@ -206,8 +206,7 @@ def test_criterion_11_sdp_solver_unit():
                        rows=np.array([0, 1]), cols=np.array([1, 0]),
                        vals=np.array([1.0, 1.0]))
     prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                          eq_lhs=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                          blocks=[blk])
+                          free=([0.0], np.eye(1)), blocks=[blk])
     sols = [sdp.solve(prob) for _ in range(3)]
     assert sols[0].status == "optimal"
     assert abs(sols[0].y[0] - 1.0) <= 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from gwsos import (MetricMeasureSpace, ValidationError, assemble_relaxation,
 from gwsos import moments as mom
 from gwsos import sdp
 from gwsos.geometry import concentrate_space, partition_from_cells
+from gwsos.hierarchy import _entry_permutations, reduce_by_symmetry
 from gwsos.spaces import isometries
 
 from conftest import random_space
@@ -26,7 +28,8 @@ class TestAssembly:
         X, Y = two_point_pair
         _, info = assemble_relaxation(X, Y, level=1)
         assert "trunc" in info.block_labels
-        assert "moment" in info.block_labels
+        # the full moment matrix is implied by "trunc" and the marginals
+        assert "moment" not in info.block_labels
         # one localizing block per pair of distinct coupling entries
         locs = [l for l in info.block_labels if l.startswith("loc")]
         assert len(locs) == 6  # C(4, 2)
@@ -142,6 +145,15 @@ class TestLowerBound:
         res = gw_lower_bound(X, Y, p=p, q=q, level=level)
         assert res.status == "optimal"
 
+    def test_former_stall_without_moment_block_converges(self):
+        # pair 6 of the benchmark's ladder_l2 workload at seed 21; with
+        # separate primal and dual step lengths it stalled once the
+        # redundant full moment block was dropped
+        rng = np.random.default_rng(21)
+        spaces = [random_space(rng, 3) for _ in range(14)]
+        res = gw_lower_bound(spaces[-2], spaces[-1], level=2)
+        assert res.status == "optimal"
+
 
 def line(*points):
     """Uniform weights on points of [0, 1]."""
@@ -169,6 +181,25 @@ def concentration_pair():
     cells = [tuple(range(4 * k, 4 * k + 4)) for k in range(4)]
     part = partition_from_cells(fine, cells, [1, 5, 9, 13])
     return fine, concentrate_space(fine, part)
+
+
+def reduced_relaxation(X, Y, level):
+    prob, info = assemble_relaxation(X, Y, level=level)
+    perms = _entry_permutations(isometries(X), isometries(Y))
+    return (prob,) + reduce_by_symmetry(prob, info.basis, perms)
+
+
+def assert_reduced_free_exact(X, Y, level):
+    """The reduced affine set is the invariant part of the assembled one."""
+    prob, reduced, orbit = reduced_relaxation(X, Y, level)
+    offset, basis = reduced.free
+    assert np.abs(prob.eq_lhs @ offset[orbit] - prob.eq_rhs).max() <= 1e-12
+    assert np.abs(prob.eq_lhs @ basis[orbit]).max(initial=0.0) <= 1e-11
+    # invariant solutions of the equalities: y = u[orbit] with A P u = b
+    A = prob.eq_lhs @ np.eye(reduced.nvars)[orbit]
+    A = A[np.linalg.norm(A, axis=1) > 0]
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    assert basis.shape[1] == reduced.nvars - np.linalg.matrix_rank(A)
 
 
 def assert_reduction_exact(X, Y, level, symmetries):
@@ -204,6 +235,36 @@ class TestSymmetryReduction:
         found = len(isometries(space))
         assert 1 < found < 40320
         assert_reduction_exact(space, LINES[2], 1, 2 * found)
+
+    def test_one_point_side(self):
+        # k = 0: the coupling is fixed and the reduced basis is empty
+        point = MetricMeasureSpace(labels=["o"], dist=np.zeros((1, 1)),
+                                   weights=np.ones(1))
+        for level in (1, 2):
+            _, reduced, _ = reduced_relaxation(LINES[2], point, level)
+            assert reduced.free[1].shape == (reduced.nvars, 0)
+            res = assert_reduction_exact(LINES[2], point, level, 2)
+            assert res.raw_objective == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n,level", [
+        (m, n, level) for m, n in [(2, 2), (2, 3), (3, 3), (3, 4)]
+        for level in (1, 2)])
+    def test_reduced_free_spans_invariant_solutions(self, m, n, level):
+        assert_reduced_free_exact(LINES[m], LINES[n], level)
+
+    def test_reduced_free_square_and_concentration_pair(self):
+        assert_reduced_free_exact(square(), LINES[3], 2)
+        assert_reduced_free_exact(*concentration_pair(), 1)
+
+    def test_optimum_independent_of_reduced_basis(self):
+        _, reduced, _ = reduced_relaxation(LINES[3], LINES[4], 2)
+        offset, basis = reduced.free
+        rot = np.linalg.qr(np.random.default_rng(7).normal(
+            size=(basis.shape[1],) * 2))[0]
+        rotated = dataclasses.replace(reduced, free=(offset, basis @ rot))
+        a, b = sdp.solve(reduced), sdp.solve(rotated)
+        assert a.status == b.status == "optimal"
+        assert abs(a.objective_value - b.objective_value) <= 1e-6
 
     def test_trivial_group_solves_the_assembled_problem(self, rng):
         X, Y = random_space(rng, 3), random_space(rng, 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -20,8 +19,7 @@ def analytic_problem():
                        vals=np.array([1.0, 1.0]),
                        label="corr")
     return sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                          eq_lhs=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                          blocks=[blk])
+                          free=([0.0], np.eye(1)), blocks=[blk])
 
 
 class TestAnalyticInstances:
@@ -40,8 +38,7 @@ class TestAnalyticInstances:
                            cols=np.array([0]),
                            vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
-                              eq_lhs=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                              blocks=[blk])
+                              free=([0.0], np.eye(1)), blocks=[blk])
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.y[0] == pytest.approx(2.0, abs=1e-6)
@@ -52,21 +49,10 @@ class TestAnalyticInstances:
                            var_idx=np.array([0]), rows=np.array([0]),
                            cols=np.array([0]), vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
-                              eq_lhs=np.array([[2.0]]),
-                              eq_rhs=np.array([6.0]),
-                              blocks=[blk])
+                              free=([3.0], np.zeros((1, 0))), blocks=[blk])
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.y[0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_inconsistent_equalities_flagged(self):
-        prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
-                              eq_lhs=np.array([[1.0], [1.0]]),
-                              eq_rhs=np.array([0.0, 1.0]),
-                              blocks=[])
-        sol = sdp.solve(prob)
-        assert sol.status == "infeasible_suspected"
-        assert not np.isfinite(sol.objective_value)
 
     def test_unbounded_like_instance_does_not_claim_optimal(self):
         # min -x with x >= 0 only: dual infeasible, no optimum exists
@@ -74,23 +60,12 @@ class TestAnalyticInstances:
                            var_idx=np.array([0]), rows=np.array([0]),
                            cols=np.array([0]), vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                              eq_lhs=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                              blocks=[blk])
+                              free=([0.0], np.eye(1)), blocks=[blk])
         sol = sdp.solve(prob, max_iter=60)
         assert sol.status != "optimal"
 
 
 class TestFreeCoordinates:
-    def test_same_optimum_as_equality_path(self, rng):
-        X, Y = random_space(rng, 2), random_space(rng, 3)
-        for level in (1, 2):
-            prob, _ = assemble_relaxation(X, Y, p=2, q=1, level=level)
-            with_free = sdp.solve(prob)
-            without = sdp.solve(dataclasses.replace(prob, free=None))
-            assert with_free.status == without.status == "optimal"
-            assert with_free.objective_value == pytest.approx(
-                without.objective_value, abs=1e-6)
-
     def test_min_norm_point_and_orthonormal_basis(self, rng):
         basis = rng.normal(size=(7, 3))
         offset = rng.normal(size=7)
@@ -115,7 +90,7 @@ class TestDeterminism:
         y_p, N = sdp._free_coordinates(*prob.free)
         lp_g0, _, G0s, _ = sdp._reduce_and_stack(prob.blocks, y_p, N)
         assert len(lp_g0) == 126
-        assert [G0.shape for G0 in G0s] == [(2, 15, 15), (36, 5, 5)]
+        assert [G0.shape for G0 in G0s] == [(1, 15, 15), (36, 5, 5)]
         first, again = sdp.solve(prob), sdp.solve(prob)
         assert first.status == "optimal"
         assert np.array_equal(again.y, first.y)
@@ -160,80 +135,15 @@ class TestStacks:
 
         def solve(order):
             return sdp.solve(sdp.SdpProblem(
-                nvars=nvars, objective=c, eq_lhs=np.zeros((0, nvars)),
-                eq_rhs=np.zeros(0), blocks=[blocks[i] for i in order]))
+                nvars=nvars, objective=c,
+                free=(np.zeros(nvars), np.eye(nvars)),
+                blocks=[blocks[i] for i in order]))
 
         assert [blocks[i].dim for i in range(5)] == [3, 1, 2, 3, 2]
         a, b = solve([0, 1, 2, 3, 4]), solve([4, 3, 1, 2, 0])
         assert a.status == b.status == "optimal"
         assert a.objective_value == pytest.approx(b.objective_value,
                                                   abs=1e-8)
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count the SVDs the solver computes."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("full_matrices", True))
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
-class TestEliminateEqualities:
-    def test_machine_precision_satisfaction(self, rng, svd_calls):
-        A = rng.normal(size=(4, 9))
-        b = rng.normal(size=4)
-        y_p, N, resid = sdp._eliminate_equalities(A, b)
-        assert resid <= 1e-12
-        assert np.abs(A @ y_p - b).max() <= 1e-12
-        assert np.abs(A @ N).max() <= 1e-12
-        # N orthonormal
-        assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
-        # a wide A needs the full factorization to complete the basis
-        assert svd_calls == [False, True]
-
-    def test_tall_rank_deficient(self, rng, svd_calls):
-        # 9 rows, 7 columns, rank 4: duplicated and combined rows
-        A0 = rng.normal(size=(4, 7))
-        A = np.vstack([A0, A0[1], A0[0] + 2 * A0[2], A0[3] - A0[1],
-                       A0[2], A0.sum(axis=0)])
-        x = rng.normal(size=7)
-        b = A @ x
-        y_p, N, resid = sdp._eliminate_equalities(A, b)
-        assert resid <= 1e-12
-        assert np.abs(A @ y_p - b).max() <= 1e-12
-        assert N.shape == (7, 3)
-        assert np.abs(A @ N).max() <= 1e-12
-        assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
-        assert svd_calls == [False]
-
-    def test_tall_full_rank(self, rng, svd_calls):
-        A = rng.normal(size=(9, 5))
-        x = rng.normal(size=5)
-        y_p, N, resid = sdp._eliminate_equalities(A, A @ x)
-        assert resid <= 1e-12
-        assert np.allclose(y_p, x, atol=1e-12)
-        assert N.shape == (5, 0)
-        assert svd_calls == [False]
-
-    def test_redundant_rows_handled(self, rng):
-        A = rng.normal(size=(3, 5))
-        A = np.vstack([A, A[0]])
-        b = np.array([1.0, 2.0, 3.0, 1.0])
-        y_p, N, resid = sdp._eliminate_equalities(A, b)
-        assert resid <= 1e-12
-        assert N.shape == (5, 2)
-
-    def test_zero_row_nonzero_rhs_infeasible(self):
-        A = np.zeros((1, 3))
-        b = np.array([1.0])
-        y_p, N, resid = sdp._eliminate_equalities(A, b)
-        assert y_p is None and resid == np.inf
 
 
 class TestFacialReduction:
@@ -294,7 +204,7 @@ class TestSerialization:
         assert s1.objective_value == pytest.approx(s0.objective_value,
                                                    abs=1e-12)
 
-    def test_free_roundtrips_and_old_dumps_load(self, tmp_path, rng):
+    def test_free_roundtrips(self, tmp_path, rng):
         prob, _ = assemble_relaxation(random_space(rng, 2),
                                       random_space(rng, 2), level=1)
         path = tmp_path / "prob.json"
@@ -302,10 +212,12 @@ class TestSerialization:
         again = sdp.load_problem(path)
         for a, b in zip(again.free, prob.free):
             assert np.array_equal(a, b)
+
+    def test_dump_without_free_refused(self, tmp_path):
+        path = tmp_path / "prob.json"
+        sdp.dump_problem(analytic_problem(), path)
         doc = json.loads(path.read_text())
         del doc["free"]
         path.write_text(json.dumps(doc))
-        old = sdp.load_problem(path)
-        assert old.free is None
-        assert sdp.solve(old).objective_value == pytest.approx(
-            sdp.solve(prob).objective_value, abs=1e-6)
+        with pytest.raises(ValueError, match="'free'"):
+            sdp.load_problem(path)
