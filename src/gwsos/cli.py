@@ -329,7 +329,7 @@ def cmd_solver_dump(x_file, y_file, level, p, q, output):
     path = output or "problem.json"
     sdp.dump_problem(problem, path)
     _emit({"problem_file": path, "nvars": info.nvars,
-           "num_equalities": info.num_equalities,
+           "num_equalities": len(problem.eq_rhs),
            "blocks": list(info.block_labels)},
           manifest, started, None)
     sys.exit(EXIT_OK)

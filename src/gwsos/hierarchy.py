@@ -1,49 +1,47 @@
 """Moment relaxations of the quadratic coupling program.
 
-The distortion objective is a quadratic form in the coupling entries
-pi_ij, so its infimum over the coupling polytope can be bounded from
-below by a hierarchy of semidefinite programs over truncated moment
-vectors.  Level r uses moments up to degree 2r and imposes:
+The distortion is a quadratic form in the coupling entries pi_ij, and
+the couplings of (mu, nu) are the points pi(t) = base + B^T t of a
+polytope over the k = (m-1)(n-1) upper-left entries t (the oracle's
+parametrization).  Level r of the moment-SOS hierarchy (Lasserre 2001)
+over that polytope is an SDP over the moments w of a measure on t up to
+degree 2r, with w_0 = 1 and these blocks:
 
-  * normalization y_0 = 1;
-  * marginal identities sum_j y_{d+e_ij} = mu_i y_d (and the column
-    analogue) for every monomial d of degree at most 2r - 1;
-  * one truncated PSD block per squarefree even-cardinality subset I of
-    the coupling entries, with rows indexed by the monomials of degree
-    exactly r - |I|/2 and entries y_{a+b+I}.
+  * the moment matrix M_r(w) over the t-monomials of degree <= r;
+  * for each squarefree subset I of 2h coupling entries, 1 <= h <= r,
+    the localizing block M_{r-h}(pi_I w) with entries
+    sum_g L[e_I, g] w_{a+b+g}; at |I| = 2r it is one LP row.
 
-The full moment matrix over all monomials of degree at most r is not a
-block: with sum pi = 1 the "trunc" block and the marginal identities
-already imply that it is PSD.
+The substitution map L takes t-moments to pi-moments, y = L w: row e_I
+holds the t-coefficients of prod_{v in I} pi_v(t), the objective is
+L^T c, and a solution reports its pi-moments L w.  Moments of couplings
+satisfy every constraint, so each level is a lower bound, and levels are
+monotone.
 
-Moment vectors of feasible couplings satisfy every constraint, so each
-level's optimum is a true lower bound, and levels are monotone.
+Zero-weight points carry no mass under any coupling and are dropped
+first; their moments are reported as zeros.  Kept, their entries would
+vanish on the polytope and leave no block strictly feasible.  With all
+weights positive, Diracs near the product coupling make every block
+positive definite.  A side left with one point (k = 0) has a unique
+coupling and nothing to solve.
 
-The normalization and marginal identities also reach the solver in
-solved form.  With pi = base + B^T t over the k = (m-1)(n-1) free
-coordinates t, their solutions are exactly the pushforwards of
-functionals on t-polynomials of degree <= 2r, so the map from t-moments
-to pi-moments spans them without any factorization.
-
-Isometries shrink the problem.  A weight-preserving isometry s of X and
+Isometries shrink the problem.  Weight-preserving isometries s of X and
 t of Y permute the coupling entries by (i, j) -> (s(i), t(j)) and leave
-the objective, the marginal identities and the set of blocks unchanged,
-so averaging a feasible moment vector over the group they generate gives
-a feasible one with the same objective: some optimum is constant on the
-orbits of monomials.  :func:`reduce_by_symmetry` solves over one moment
-per orbit, on the orbit average of the solved marginal identities, and
-keeps one block of each orbit of blocks (one LP row per orbit of subsets
-I at the top degree).  The reduction is exact only when
-every permutation keeps every distance and weight exactly, which is why
-:func:`gwsos.spaces.isometries` compares with ``==``; a subset of the
-isometries, as a capped search returns, still gives the exact orbits of
-the subgroup it generates.
+the objective, the polytope and the set of blocks unchanged, so some
+optimum has pi-moments constant on the orbits of monomials
+(:func:`reduce_by_symmetry`), and blocks of subsets in one orbit are
+congruent there: only the first of each orbit is built.  The reduction
+is exact only when every permutation keeps every distance and weight
+exactly, which is why :func:`gwsos.spaces.isometries` compares with
+``==``; the isometries a capped search returns still give the exact
+orbits of the subgroup they generate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -59,40 +57,22 @@ class RelaxationInfo:
     level: int
     m: int
     n: int
-    nvars: int
-    num_equalities: int
+    nvars: int                # t-moments w
     block_labels: tuple
-    basis: mom.MonomialBasis
-
-
-def _marginal_equalities(basis, m, n, mu, nu):
-    """Rows enforcing the coupling marginals on all low-degree moments.
-
-    For each monomial d of degree below the top, in basis order, m row
-    identities sum_j y_{d+e_ij} - mu_i y_d and then n column identities.
-    """
-    low = np.flatnonzero(basis.degrees <= basis.maxdeg - 1)
-    shifts = np.eye(m * n, dtype=np.int64).reshape(m, n, m * n)
-    shifted = basis.index_rows(
-        (basis.exponents[low, None, None].astype(np.int64) + shifts)
-        .reshape(-1, m * n)).reshape(len(low), m, n)
-    rows = np.zeros((len(low), m + n, len(basis)))
-    d = np.arange(len(low))[:, None, None]
-    rows[d, np.arange(m)[:, None], shifted] = 1.0
-    rows[d, m + np.arange(n), shifted] = 1.0
-    rows[d[:, :, 0], np.arange(m), low[:, None]] -= mu
-    rows[d[:, :, 0], m + np.arange(n), low[:, None]] -= nu
-    return rows.reshape(-1, len(basis))
+    basis: mom.MonomialBasis  # pi-monomials of degree <= 2r
+    lift: np.ndarray          # the pi-moments are lift @ w
+    symmetries: int           # coupling-entry permutations the problem used
 
 
 def _substitution_map(basis, mu, nu):
     """Matrix L with y = L w for pi = base + B^T t (oracle's parametrization).
 
     Row g holds the coefficients of the polynomial pi(t)^g over the
-    t-monomials up to the basis degree 2r, so the moments of any measure on t map to
-    those of its pushforward.  Rows are filled in graded order: with v the
-    first variable of g, pi^g = pi_v(t) * pi^(g - e_v), and multiplying by
-    the affine form b0_v + sum_u B[u, v] t_u is one scale plus k shifts.
+    t-monomials up to the basis degree 2r, so the moments of any measure
+    on t map to those of its pushforward.  Rows are filled in graded
+    order: with v the first variable of g, pi^g = pi_v(t) * pi^(g - e_v),
+    and multiplying by the affine form b0_v + sum_u B[u, v] t_u is one
+    scale plus one scatter of the shifts by the u with B[u, v] != 0.
     Column 0 is the Dirac measure at t = 0 and the others span the
     solutions of the marginal identities with y_0 = 0.
     """
@@ -103,10 +83,9 @@ def _substitution_map(basis, mu, nu):
         return mom.point_moments(basis, b0)[:, None]
     B = B.reshape(k, basis.nvars)
     tbasis = mom.get_basis(k, basis.maxdeg)
-    low = np.flatnonzero(tbasis.degrees < basis.maxdeg)
-    low_exps = tbasis.exponents[low].astype(np.int64)
-    shifts = [tbasis.index_rows(low_exps + e)
-              for e in np.eye(k, dtype=np.int64)]
+    low = tbasis.exponents[tbasis.degrees < basis.maxdeg].astype(np.int64)
+    shifts = np.stack([tbasis.index_rows(low + e)
+                       for e in np.eye(k, dtype=np.int64)])
     exps = basis.exponents.astype(np.int64)
     first = np.argmax(exps > 0, axis=1)
     exps[np.arange(len(exps)), first] -= 1
@@ -116,64 +95,24 @@ def _substitution_map(basis, mu, nu):
         rows = np.flatnonzero(basis.degrees == d)
         v = first[rows]
         prev = L[basis.index_rows(exps[rows])]
-        L[rows] = b0[v, None] * prev
-        prev = prev[:, low]
-        for u, shift in enumerate(shifts):
-            L[rows[:, None], shift] += B[u, v, None] * prev
+        new = b0[v, None] * prev
+        r, u = np.nonzero(B[:, v].T)
+        width = mom.basis_size(k, d - 1)  # prev has degree d - 1
+        np.add.at(new, (r[:, None], shifts[u, :width]),
+                  B[u, v[r], None] * prev[r, :width])
+        L[rows] = new
     return L
 
 
-def _localizing_blocks(basis, level):
-    """Index tables for the truncated PSD blocks of one hierarchy level."""
-    nvars = basis.nvars
-    blocks = []
-    for d_half in range(level + 1):
-        row_exps = basis.exponents[basis.degrees == level - d_half]
-        row_exps = row_exps.astype(np.int64)
-        for subset in itertools.combinations(range(nvars), 2 * d_half):
-            shift = np.zeros(nvars, dtype=np.int64)
-            shift[list(subset)] = 1
-            table = mom.index_table(basis, row_exps, shift)
-            label = f"loc[{','.join(map(str, subset))}]" if subset else "trunc"
-            blocks.append(sdp.PsdBlock.from_index_table(table, label=label))
-    return blocks
-
-
-def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
-                        p: float = 1.0, q: float = 1.0, level: int = 1):
-    """Build the level-r SDP; returns (problem, info)."""
-    if level < 1:
-        raise ValidationError(f"hierarchy level must be >= 1, got {level}")
-    cost = build_cost_tensor(X, Y, p, q)
-    m, n = cost.m, cost.n
-    nvars = m * n
-    basis = mom.get_basis(nvars, 2 * level)
-
-    # objective: sum_{ijkl} c[i,j,k,l] y_{e_ij + e_kl}
-    objective = np.zeros(len(basis))
-    flat_cost = cost.entries.reshape(nvars, nvars)
-    for v1 in range(nvars):
-        for v2 in range(nvars):
-            e = np.zeros(nvars, dtype=np.int64)
-            e[v1] += 1
-            e[v2] += 1
-            objective[basis.index(e)] += flat_cost[v1, v2]
-
-    marg = _marginal_equalities(basis, m, n, X.weights, Y.weights)
-    eq_lhs = np.vstack([np.eye(1, len(basis)), marg])
-    eq_rhs = np.zeros(len(eq_lhs))
-    eq_rhs[0] = 1.0
-    L = _substitution_map(basis, X.weights, Y.weights)
-
-    blocks = _localizing_blocks(basis, level)
-    problem = sdp.SdpProblem(nvars=len(basis), objective=objective,
-                             eq_lhs=eq_lhs, eq_rhs=eq_rhs, blocks=blocks,
-                             free=(L[:, 0], L[:, 1:]))
-    info = RelaxationInfo(level=level, m=m, n=n, nvars=len(basis),
-                          num_equalities=len(eq_rhs),
-                          block_labels=tuple(b.label for b in blocks),
-                          basis=basis)
-    return problem, info
+def _support(space):
+    """The space without its zero-weight points, and the mask of kept ones."""
+    keep = space.weights > 0
+    if keep.all():
+        return space, keep
+    return MetricMeasureSpace(labels=np.asarray(space.labels)[keep],
+                              dist=space.dist[np.ix_(keep, keep)],
+                              weights=space.weights[keep], name=space.name,
+                              scale=space.scale), keep
 
 
 def _entry_permutations(gx, gy):
@@ -212,44 +151,125 @@ def _range_basis(A):
     return U[:, :rank]
 
 
-def reduce_by_symmetry(problem, basis, entry_perms):
-    """Restrict a relaxation to moment vectors constant on orbits.
+def reduce_by_symmetry(basis, L, t_rows, entry_perms):
+    """Monomial orbits and a basis of the invariant t-moment directions.
 
-    A coupling-entry permutation acts on monomials by renaming variables.
-    Moments are relabelled by their orbit u under the group the
-    permutations generate, with y = u[orbit]; the objective is summed over
-    each orbit.  The group maps the affine set ``free`` onto itself, so
-    its invariant points are its image under the group average, which is
-    the orbit mean: the reduced set is the orbit mean of the offset plus
-    the range of the orbit means of the basis rows.  Blocks that a
-    permutation maps onto each other agree up to a simultaneous
-    row and column permutation at every invariant y, so one block of each
-    such orbit stays, the first in problem order.  Returns the reduced
-    problem and ``orbit``.
+    Entry permutations rename the variables of pi-monomials; ``orbit``
+    labels each by its orbit.  The invariant moments are the image of the
+    group average, so as orbit values u (y = u[orbit]) their directions
+    span the orbit means of L's columns past the first.  Row t_rows[g] of
+    L is the unit vector of t-monomial g, so w = u[orbit[t_rows]], which
+    is one to one there: only the orbits of t-monomials enter the SVD.
     """
     mono = [basis.index_rows(basis.exponents[:, np.argsort(perm)])
             for perm in entry_perms]
     orbit = np.unique(_orbit_labels(mono), return_inverse=True)[1]
-    blocks = problem.blocks
-    which = {np.unique(b.var_idx).tobytes(): k for k, b in enumerate(blocks)}
-    block_perms = [np.array([which[np.unique(perm[b.var_idx]).tobytes()]
-                             for b in blocks]) for perm in mono]
-    first = _orbit_labels(block_perms) == np.arange(len(blocks))
     order = np.argsort(orbit, kind="stable")
     starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
     sizes = np.diff(np.append(starts, len(orbit)))
+    mean = np.add.reduceat(L[order, 1:], starts, axis=0) / sizes[:, None]
+    t_orbits, t_orbit = np.unique(orbit[t_rows], return_inverse=True)
+    return orbit, _range_basis(mean[t_orbits])[t_orbit]
 
-    def orbit_sum(a):
-        return np.add.reduceat(a[order], starts, axis=0)
 
-    offset, L = problem.free
-    reduced = sdp.SdpProblem(
-        nvars=len(starts), objective=orbit_sum(problem.objective),
-        free=(orbit_sum(offset) / sizes,
-              _range_basis(orbit_sum(L) / sizes[:, None])),
-        blocks=[dataclasses.replace(b, var_idx=orbit[b.var_idx])
-                for b, keep in zip(blocks, first) if keep])
-    return reduced, orbit
+def _localizing_blocks(basis, tbasis, L, level, orbit, entry_ids):
+    """M_r (h = 0), then the localizing blocks, in h order.
+
+    One shift table T[a, b, g] = index of t^(a+b+g) serves all subsets I
+    of one h: block I adds L[e_I, g] w[T[a, b, g]] at (a, b) for each g
+    with L[e_I, g] != 0.  With ``orbit``, only the first subset of each
+    orbit of e_I gets a block; labels name entries by ``entry_ids``.
+    """
+    nvars, k = basis.nvars, tbasis.nvars
+    exps = tbasis.exponents.astype(np.int64)
+    blocks = []
+    for h in range(level + 1):
+        d = mom.basis_size(k, level - h)
+        width = mom.basis_size(k, 2 * h)
+        subsets = np.array(list(itertools.combinations(range(nvars), 2 * h)),
+                           dtype=np.int64).reshape(math.comb(nvars, 2 * h),
+                                                   2 * h)
+        e_I = np.zeros((len(subsets), nvars), dtype=np.int64)
+        np.put_along_axis(e_I, subsets, 1, axis=1)
+        rows = basis.index_rows(e_I)
+        if orbit is not None:
+            keep = np.sort(np.unique(orbit[rows], return_index=True)[1])
+            subsets, rows = subsets[keep], rows[keep]
+        T = tbasis.index_rows(
+            (exps[:d, None, None] + exps[None, :d, None] +
+             exps[None, None, :width]).reshape(-1, k)).reshape(d * d, width)
+        coef = L[rows, :width]
+        which, g = np.nonzero(coef)
+        var_idx = T[:, g].T.ravel()
+        vals = np.repeat(coef[which, g], d * d)
+        cells = np.tile(np.arange(d * d), len(g))
+        bounds = np.append(0, np.cumsum(
+            np.bincount(which, minlength=len(rows)))) * d * d
+        cell_rows, cell_cols = np.divmod(cells, d)
+        for subset, lo, hi in zip(subsets, bounds[:-1], bounds[1:]):
+            label = (f"loc[{','.join(map(str, entry_ids[subset]))}]"
+                     if h else "moment")
+            blocks.append(sdp.PsdBlock(
+                dim=d, const=np.zeros((d, d)), var_idx=var_idx[lo:hi],
+                rows=cell_rows[lo:hi], cols=cell_cols[lo:hi],
+                vals=vals[lo:hi], label=label))
+    return blocks
+
+
+def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
+                        p: float = 1.0, q: float = 1.0, level: int = 1):
+    """Build the level-r SDP over t-moments; returns (problem, info).
+
+    Zero-weight points are dropped, and exact isometries of what is left
+    reduce the problem (module docstring).
+    """
+    if level < 1:
+        raise ValidationError(f"hierarchy level must be >= 1, got {level}")
+    (Xs, kx), (Ys, ky) = _support(X), _support(Y)
+    cost = build_cost_tensor(Xs, Ys, p, q)
+    nvars = Xs.size * Ys.size
+    basis = mom.get_basis(nvars, 2 * level)
+    L = _substitution_map(basis, Xs.weights, Ys.weights)
+
+    # objective: sum_{v,w} c[v, w] y_{e_v + e_w}, pulled back through L
+    eye = np.eye(nvars, dtype=np.int64)
+    quad = basis.index_rows((eye[:, None] + eye[None, :]).reshape(-1, nvars))
+    c = np.bincount(quad, weights=cost.entries.ravel(), minlength=len(basis))
+
+    gx, gy = isometries(Xs), isometries(Ys)
+    perms = _entry_permutations(gx, gy)
+    entry_ids = np.flatnonzero(np.outer(kx, ky))  # kept among all m*n
+    k = (Xs.size - 1) * (Ys.size - 1)
+    nt = L.shape[1]
+    blocks, free = [], (np.ones(1), np.zeros((1, 0)))
+    if k:
+        tbasis = mom.get_basis(k, 2 * level)
+        grid = np.arange(nvars).reshape(Xs.size, Ys.size)
+        t_exps = np.zeros((nt, nvars), dtype=np.int64)
+        t_exps[:, grid[:-1, :-1].ravel()] = tbasis.exponents
+        t0 = np.outer(Xs.weights, Ys.weights)[:-1, :-1].ravel()
+        orbit, free_basis = None, np.eye(nt)[:, 1:]
+        if perms:
+            orbit, free_basis = reduce_by_symmetry(
+                basis, L, basis.index_rows(t_exps), perms)
+        free = (mom.point_moments(tbasis, t0), free_basis)
+        blocks = _localizing_blocks(basis, tbasis, L, level, orbit,
+                                    entry_ids)
+    problem = sdp.SdpProblem(nvars=nt, objective=c @ L, blocks=blocks,
+                             free=free, eq_lhs=np.eye(1, nt), eq_rhs=[1.0])
+
+    lift = L
+    if len(entry_ids) < X.size * Y.size:  # zero moments on dropped entries
+        full = mom.get_basis(X.size * Y.size, 2 * level)
+        exps = np.zeros((len(basis), full.nvars), dtype=np.int64)
+        exps[:, entry_ids] = basis.exponents
+        lift = np.zeros((len(full), nt))
+        lift[full.index_rows(exps)], basis = L, full
+    info = RelaxationInfo(level=level, m=X.size, n=Y.size, nvars=nt,
+                          block_labels=tuple(b.label for b in blocks),
+                          basis=basis, lift=lift,
+                          symmetries=len(gx) * len(gy))
+    return problem, info
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,7 +287,7 @@ class GwBound:
     q: float
     m: int
     n: int
-    moments: np.ndarray
+    moments: np.ndarray   # pi-moments of the solution
     symmetries: int       # coupling-entry permutations the solve used
 
 
@@ -278,16 +298,10 @@ def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
                    max_iter: int = sdp.DEFAULT_MAX_ITER) -> GwBound:
     """Level-r semidefinite lower bound on the distortion infimum gw(X, Y).
 
-    When X or Y has an exact isometry, the relaxation is solved over the
-    orbits of the coupling entries (:func:`reduce_by_symmetry`).
+    When X or Y has an exact isometry, the relaxation is solved over
+    invariant moments (module docstring).
     """
     problem, info = assemble_relaxation(X, Y, p, q, level)
-    gx, gy = isometries(X), isometries(Y)
-    symmetries = len(gx) * len(gy)
-    orbit = None
-    if symmetries > 1:
-        problem, orbit = reduce_by_symmetry(problem, info.basis,
-                                            _entry_permutations(gx, gy))
     sol = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol,
                     max_iter=max_iter)
     raw = sol.objective_value
@@ -296,9 +310,8 @@ def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     return GwBound(value=value, raw_objective=raw, root=root,
                    status=sol.status, iterations=sol.iterations,
                    residuals=sol.residuals, level=level, p=p, q=q,
-                   m=info.m, n=info.n,
-                   moments=sol.y if orbit is None else sol.y[orbit],
-                   symmetries=symmetries)
+                   m=info.m, n=info.n, moments=info.lift @ sol.y,
+                   symmetries=info.symmetries)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,24 +6,29 @@ Problems are stated over a moment-style variable vector y:
     subject to  y in {offset + basis @ w}
                 S_b(y) = C_b + sum_t vals_t y[var_t] E(rows_t, cols_t)  psd
 
-The caller states the affine set as ``free = (offset, basis)``; a thin QR
-of ``basis`` gives orthonormal coordinates of it, so the affine
-constraints hold to machine precision at every iterate and no equality
-matrix is factored.  ``eq_lhs``/``eq_rhs`` may record equalities with
-the same solutions; the solver does not read them.  The solver then
-splits one-dimensional blocks into a nonnegativity cone, and runs an
-infeasible-start primal-dual interior point method with Nesterov-Todd
-scaling and a Mehrotra-style predictor-corrector.  Primal and dual
-iterates move by one common step length, as in the infeasible IPM of
-Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let the
-primal step collapse while the dual one stays long, and the solve can
-stall.  Each iteration factors every S and X block once by Cholesky; the
-factors and their inverses serve the scaling, S^-1 and every step
-length.  The Schur complement is factored as it is, with a small ridge
-only when its Cholesky factorization fails.  Everything is dense numpy.
-The PSD blocks are stacked by size into (k, d, d) arrays, and every
-kernel of an iteration runs once per stack as a batched call, not once
-per block.  Results are deterministic for a fixed input.
+The caller states the affine set as ``free = (offset, basis)``.  The
+iterates are y = offset + N z, with N an orthonormal basis of the range
+of ``basis`` from one thin QR, so the affine constraints hold to machine
+precision at every iterate, no equality matrix is factored, and the
+method starts at z = 0, the caller's offset.  ``eq_lhs``/``eq_rhs`` may
+record equalities with the same solutions; the solver does not read
+them.  The triplets of the blocks of one size d form one sparse
+(k*d*d) x nvars matrix, so the data of each size in z comes from one
+sparse product; one-dimensional blocks form a nonnegativity cone.
+
+The method is an infeasible-start primal-dual interior point method with
+Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
+and dual iterates move by one common step length, as in the infeasible
+IPM of Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let
+the primal step collapse while the dual one stays long, and the solve
+can stall.  It stops on the residuals and on the gap relative to the
+objective in the caller's units.  Each iteration factors every S and X
+block once by Cholesky; the factors and their inverses serve the
+scaling, S^-1 and every step length.  The Schur complement is factored
+as it is, with a small ridge only when its Cholesky factorization fails.
+The PSD blocks are stacked by size into dense (k, d, d) arrays, and
+every kernel of an iteration runs once per stack as a batched call, not
+once per block.  Results are deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_GAP_TOL = 1e-7
@@ -56,20 +61,6 @@ class PsdBlock:
     cols: np.ndarray
     vals: np.ndarray
     label: str = ""
-
-    @classmethod
-    def from_index_table(cls, table: np.ndarray, label: str = "") -> "PsdBlock":
-        """Block whose (a, b) entry is the moment y[table[a, b]]."""
-        table = np.asarray(table, dtype=np.int64)
-        dim = table.shape[0]
-        rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        return cls(dim=dim,
-                   const=np.zeros((dim, dim)),
-                   var_idx=table.ravel(),
-                   rows=rr.ravel(),
-                   cols=cc.ravel(),
-                   vals=np.ones(dim * dim),
-                   label=label)
 
 
 @dataclasses.dataclass
@@ -148,48 +139,6 @@ def load_problem(path) -> SdpProblem:
                       free=(free["offset"], free["basis"]))
 
 
-def _free_coordinates(offset, basis):
-    """Min-norm point and an orthonormal basis of {offset + basis @ w}."""
-    N = np.linalg.qr(basis)[0]
-    return offset - N @ (N.T @ offset), N
-
-
-def _reduce_block(blk, y_p, N):
-    """Constant term and per-free-variable coefficient matrices."""
-    d, nz = blk.dim, N.shape[1]
-    G0 = np.array(blk.const, dtype=float, copy=True)
-    np.add.at(G0, (blk.rows, blk.cols), blk.vals * y_p[blk.var_idx])
-    G0 = 0.5 * (G0 + G0.T)
-    G = np.zeros((d, d, nz))
-    if nz:
-        contrib = blk.vals[:, None] * N[blk.var_idx]
-        np.add.at(G, (blk.rows, blk.cols), contrib)
-        G = 0.5 * (G + G.transpose(1, 0, 2))
-    return G0, np.ascontiguousarray(G.transpose(2, 0, 1))
-
-
-def _facial_reduction(G0, G, rel_tol=1e-9):
-    """Project a block onto the complement of its forced null space.
-
-    Directions u with G0 u = 0 and G_j u = 0 for every j are annihilated
-    by the block at every feasible point (the equality constraints force
-    entire rows to vanish, e.g. through functionals that are constant on
-    the coupling polytope).  Keeping them destroys strict feasibility, so
-    the block is restricted to their orthogonal complement, which is an
-    exact reformulation.
-    """
-    K = G0 @ G0
-    for Gj in G:
-        K += Gj @ Gj
-    lam, V = np.linalg.eigh(K)
-    scale = lam[-1] if lam[-1] > 0 else 1.0
-    keep = lam > rel_tol * scale
-    if keep.all():
-        return G0, G
-    Vk = V[:, keep]
-    return Vk.T @ G0 @ Vk, Vk.T @ G @ Vk
-
-
 def _sym(A):
     """Symmetric part of each matrix of a stack."""
     return 0.5 * (A + A.mT)
@@ -228,39 +177,45 @@ def _schur_factor(M):
         return np.linalg.cholesky(M + ridge * np.eye(len(M)))
 
 
-def _reduce_and_stack(blocks, y_p, N):
-    """Reduced data: a nonnegativity cone for 1x1 blocks, and stacks.
+def _stack_blocks(blocks, y_p, N):
+    """Cone data in z for y = y_p + N z: a nonnegativity cone and stacks.
 
-    Blocks of one size d form a stack, in problem order: constants
-    (k, d, d) and coefficients (nz, k, d, d).  Each block is dropped once
-    stacked, so a stack is never held twice over.
+    The triplets of the k blocks of one size d form one sparse
+    (k*d*d) x nvars matrix A, so the constants are const + A y_p and the
+    coefficients A N.  Each block is divided by its largest entry when
+    that exceeds 1.  Size 1 gives the LP data (k,) and (k, nz); the other
+    sizes give stacks in order of first appearance, problem order within
+    a stack: constants (k, d, d) and coefficients (nz, k, d, d).
     """
     nz = N.shape[1]
     by_dim = {}
-    lp_g0, lp_G = [], []
     for blk in blocks:
-        G0, G = _reduce_block(blk, y_p, N)
-        if blk.dim > 1:
-            G0, G = _facial_reduction(G0, G)
-            if len(G0) == 0:
-                continue
-        scale = 1.0 / max(1.0, np.abs(G0).max(),
-                          np.abs(G).max() if G.size else 0.0)
-        G0, G = G0 * scale, G * scale
-        if len(G0) == 1:
-            lp_g0.append(G0[0, 0])
-            lp_G.append(G[:, 0, 0] if nz else np.zeros(0))
-        else:
-            by_dim.setdefault(len(G0), []).append((G0, G))
-    G0 = G = None
+        by_dim.setdefault(blk.dim, []).append(blk)
+    lp_g0, lp_G = np.zeros(0), np.zeros((0, nz))
     G0s, Gs = [], []
-    for d in list(by_dim):
-        G0_list, G_list = zip(*by_dim.pop(d))
-        G0s.append(np.stack(G0_list))
-        Gs.append(np.stack(G_list, axis=1))
-        del G0_list, G_list
-    lp_g0 = np.asarray(lp_g0)
-    return lp_g0, np.asarray(lp_G).reshape(len(lp_g0), nz), G0s, Gs
+    for d, group in by_dim.items():
+        k = len(group)
+        which = np.repeat(np.arange(k), [len(b.var_idx) for b in group])
+        cells = ((which * d + np.concatenate([b.rows for b in group])) * d +
+                 np.concatenate([b.cols for b in group]))
+        A = sparse.csr_array(
+            (np.concatenate([b.vals for b in group]),
+             (cells, np.concatenate([b.var_idx for b in group]))),
+            shape=(k * d * d, len(y_p)))
+        G0 = np.stack([b.const for b in group]) + (A @ y_p).reshape(k, d, d)
+        G = (A @ N).reshape(k, d * d, nz)
+        scale = 1.0 / np.maximum.reduce([
+            np.ones(k), np.abs(G0).max(axis=(1, 2)),
+            np.abs(G).max(axis=(1, 2), initial=0.0)])
+        G0 *= scale[:, None, None]
+        G *= scale[:, None, None]
+        if d == 1:
+            lp_g0, lp_G = G0[:, 0, 0], G[:, 0]
+        else:
+            G0s.append(G0)
+            Gs.append(np.ascontiguousarray(G.transpose(2, 0, 1)).reshape(
+                nz, k, d, d))
+    return lp_g0, lp_G, G0s, Gs
 
 
 def solve(problem: SdpProblem,
@@ -269,10 +224,11 @@ def solve(problem: SdpProblem,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve an SDP; see the module docstring for the problem format."""
     c_full = problem.objective
-    y_p, N = _free_coordinates(*problem.free)
+    y_p = problem.free[0]
+    N = np.linalg.qr(problem.free[1])[0]
     nz = N.shape[1]
 
-    lp_g0, lp_G, G0s, Gs = _reduce_and_stack(problem.blocks, y_p, N)
+    lp_g0, lp_G, G0s, Gs = _stack_blocks(problem.blocks, y_p, N)
     nlp = len(lp_g0)
     nst = len(Gs)
     Gflat = [G.reshape(nz, -1) for G in Gs]
@@ -335,7 +291,8 @@ def solve(problem: SdpProblem,
                    ([np.abs(r_lp).max() / (1 + np.abs(lp_g0).max())]
                     if nlp else [0.0]))
         dres = np.abs(r_stat).max() / (1 + np.abs(c).max())
-        relgap = abs(gap) / (1 + abs(pobj) + abs(dobj))
+        # the gap relative to the objective in the caller's units
+        relgap = abs(gap) / (obj_scale + abs(pobj) + abs(dobj))
         residuals = {"primal": float(pres), "dual": float(dres),
                      "gap": float(relgap), "mu": float(mu)}
         if pres < feas_tol and dres < feas_tol and relgap < gap_tol:

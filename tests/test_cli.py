@@ -191,6 +191,7 @@ class TestSolverDump:
         result = runner.invoke(main, ["solver-dump", files["a"],
                                       files["b"], "-o", str(out)])
         assert result.exit_code == 0
+        assert record(result)["num_equalities"] == 1  # w_0 = 1
         prob = sdp.load_problem(out)
         want, _ = hierarchy.assemble_relaxation(load_space(files["a"]),
                                                 load_space(files["b"]))

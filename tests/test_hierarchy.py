@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from gwsos import (MetricMeasureSpace, ValidationError, assemble_relaxation,
                    coupling_tensor_measure, evaluate_objective,
                    gw_lower_bound, moments_to_tensor_measure,
                    product_coupling, tensor_measure_to_moments)
+from gwsos import hierarchy, sdp
 from gwsos import moments as mom
-from gwsos import sdp
 from gwsos.geometry import concentrate_space, partition_from_cells
-from gwsos.hierarchy import _entry_permutations, reduce_by_symmetry
+from gwsos.hierarchy import _entry_permutations
+from gwsos.oracle import _affine_parametrization
 from gwsos.spaces import isometries
 
 from conftest import random_space
@@ -24,72 +27,127 @@ class TestAssembly:
         with pytest.raises(ValidationError, match="level"):
             assemble_relaxation(X, Y, level=0)
 
-    def test_block_labels(self, two_point_pair):
-        X, Y = two_point_pair
-        _, info = assemble_relaxation(X, Y, level=1)
-        assert "trunc" in info.block_labels
-        # the full moment matrix is implied by "trunc" and the marginals
-        assert "moment" not in info.block_labels
-        # one localizing block per pair of distinct coupling entries
-        locs = [l for l in info.block_labels if l.startswith("loc")]
-        assert len(locs) == 6  # C(4, 2)
+    def test_block_labels(self, rng):
+        # M_r, then one localizing block per subset I with |I| = 2h
+        for m, n, level in [(2, 2, 1), (2, 3, 2)]:
+            _, info = assemble_relaxation(random_space(rng, m),
+                                          random_space(rng, n), level=level)
+            assert info.symmetries == 1
+            assert info.block_labels[0] == "moment"
+            locs = [l for l in info.block_labels if l.startswith("loc")]
+            assert len(info.block_labels) == 1 + len(locs)
+            assert len(locs) == sum(math.comb(m * n, 2 * h)
+                                    for h in range(1, level + 1))
 
     def test_objective_matches_cost_quadratic(self, rng):
-        # the linear objective on product-coupling moments equals the
-        # quadratic distortion of that coupling
+        # the linear objective on the product coupling's t-moments equals
+        # the quadratic distortion of that coupling
         X = random_space(rng, 2)
         Y = random_space(rng, 3)
-        prob, info = assemble_relaxation(X, Y, p=2, q=1, level=1)
+        prob, _ = assemble_relaxation(X, Y, p=2, q=1, level=1)
         pi = product_coupling(X.weights, Y.weights).pi
-        y = mom.point_moments(info.basis, pi.ravel())
+        w = mom.point_moments(mom.get_basis(2, 2), pi[:-1, :-1].ravel())
         cost = build_cost_tensor(X, Y, 2, 1)
-        assert prob.objective @ y == pytest.approx(
+        assert prob.objective @ w == pytest.approx(
             evaluate_objective(cost, pi), rel=1e-12)
 
     def test_coupling_moments_satisfy_equalities(self, rng):
-        for level in (1, 2):
-            X = random_space(rng, 2)
-            Y = random_space(rng, 2)
+        # the Dirac at a random positive coupling satisfies w_0 = 1, makes
+        # every block psd, and its objective is the coupling's distortion
+        for m, n, level in [(2, 2, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2)]:
+            X, Y = random_space(rng, m), random_space(rng, n)
             prob, info = assemble_relaxation(X, Y, level=level)
-            pi = product_coupling(X.weights, Y.weights).pi
-            y = mom.point_moments(info.basis, pi.ravel())
-            resid = np.abs(prob.eq_lhs @ y - prob.eq_rhs).max()
-            assert resid <= 1e-12
+            t0 = np.outer(X.weights, Y.weights)[:-1, :-1].ravel()
+            step = X.weights.min() * Y.weights.min() / len(t0)
+            t = t0 + 0.9 * step * rng.uniform(-1, 1, size=len(t0))
+            w = mom.point_moments(mom.get_basis(len(t), 2 * level), t)
+            pi = parametrized_coupling(X, Y, t)
+            assert pi.min() > 0
+            assert np.abs(prob.eq_lhs @ w - prob.eq_rhs).max() <= 1e-15
+            for blk in prob.blocks:
+                lam = np.linalg.eigvalsh(block_matrix(blk, w))
+                assert lam[0] >= -1e-12 * max(1.0, lam[-1])
+            cost = build_cost_tensor(X, Y, 1, 1)
+            assert prob.objective @ w == pytest.approx(
+                evaluate_objective(cost, pi), rel=1e-12)
 
 
-def assert_free_spans_equalities(X, Y, level):
-    """{eq_lhs y = eq_rhs} = {offset + basis @ w}, with basis of full rank."""
-    prob, _ = assemble_relaxation(X, Y, level=level)
-    offset, basis = prob.free
-    assert np.abs(prob.eq_lhs @ offset - prob.eq_rhs).max() <= 1e-12
-    assert np.abs(prob.eq_lhs @ basis).max(initial=0.0) <= 1e-12
-    nullity = prob.nvars - np.linalg.matrix_rank(prob.eq_lhs)
-    assert basis.shape[1] == nullity
-    assert np.linalg.matrix_rank(basis) == nullity
+def parametrized_coupling(X, Y, t):
+    """pi(t) = base + B^T t, the oracle's parametrization."""
+    base, B = _affine_parametrization(X.weights, Y.weights)
+    return base + np.tensordot(t, B, axes=1)
+
+
+def block_matrix(blk, w):
+    """The matrix a block takes at the moment vector w."""
+    M = np.array(blk.const, dtype=float)
+    np.add.at(M, (blk.rows, blk.cols), blk.vals * w[blk.var_idx])
+    return M
 
 
 class TestSubstitution:
     @pytest.mark.parametrize("m,n,level",
                              itertools.product([1, 2, 3], [1, 2, 3], [1, 2]))
     def test_free_spans_equality_solutions(self, rng, m, n, level):
-        assert_free_spans_equalities(random_space(rng, m),
-                                     random_space(rng, n), level)
+        # the lift of the Dirac at t is the Dirac at the coupling pi(t), so
+        # lifting the free set {w : w_0 = 1} gives the moments of measures
+        # on the coupling polytope, which solve the marginal identities
+        X, Y = random_space(rng, m), random_space(rng, n)
+        prob, info = assemble_relaxation(X, Y, level=level)
+        k = (m - 1) * (n - 1)
+        for _ in range(3):
+            t = rng.normal(size=k)
+            w = (mom.point_moments(mom.get_basis(k, 2 * level), t) if k
+                 else np.ones(1))
+            want = mom.point_moments(info.basis,
+                                     parametrized_coupling(X, Y, t).ravel())
+            assert np.abs(info.lift @ w - want).max() <= \
+                1e-12 * np.abs(want).max()
+        offset, basis = prob.free
+        assert np.array_equal(prob.eq_lhs, np.eye(1, prob.nvars))
+        assert np.array_equal(prob.eq_rhs, [1.0])
+        assert offset[0] == 1.0
+        assert basis.shape == (prob.nvars, prob.nvars - 1)
+        assert not basis[0].any()
+        assert np.linalg.matrix_rank(basis) == prob.nvars - 1
 
     def test_zero_weight_point(self, rng):
-        Y = MetricMeasureSpace(labels=["a", "b", "c"],
-                               dist=random_space(rng, 3).dist,
+        # a point no coupling can load is dropped: the bound is that of the
+        # pair without it, and the moments vanish on its entries
+        dist = random_space(rng, 3).dist
+        Y = MetricMeasureSpace(labels=["a", "b", "c"], dist=dist,
                                weights=np.array([0.4, 0.0, 0.6]))
+        Y_kept = MetricMeasureSpace(labels=["a", "c"],
+                                    dist=dist[np.ix_([0, 2], [0, 2])],
+                                    weights=np.array([0.4, 0.6]))
+        X = random_space(rng, 2)
         for level in (1, 2):
-            assert_free_spans_equalities(random_space(rng, 2), Y, level)
+            res = gw_lower_bound(X, Y, level=level)
+            ref = gw_lower_bound(X, Y_kept, level=level)
+            assert res.status == ref.status == "optimal"
+            assert res.value == ref.value
+            basis = mom.get_basis(6, 2 * level)
+            loads_b = basis.exponents[:, [1, 4]].any(axis=1)
+            assert not res.moments[loads_b].any()
+            assert np.array_equal(res.moments[~loads_b], ref.moments)
+        # one point left: the coupling is unique and nothing is solved
+        X_point = MetricMeasureSpace(labels=["o", "z"], dist=dist[:2, :2],
+                                     weights=np.array([1.0, 0.0]))
+        res = gw_lower_bound(X_point, Y_kept, level=2)
+        assert res.status == "optimal"
+        assert res.iterations == 0
+        pi = np.zeros((2, 2))
+        pi[0] = Y_kept.weights
+        cost = build_cost_tensor(X_point, Y_kept, 1, 1)
+        assert res.raw_objective == pytest.approx(
+            evaluate_objective(cost, pi), abs=1e-15)
 
-    def test_offset_is_the_parametrization_base(self, rng):
+    def test_offset_is_the_product_coupling(self, rng):
         X, Y = random_space(rng, 2), random_space(rng, 3)
         prob, info = assemble_relaxation(X, Y, level=2)
-        base = np.zeros((2, 3))
-        base[0, -1] = X.weights[0]
-        base[-1] = Y.weights - base[0]
-        want = mom.point_moments(info.basis, base.ravel())
-        assert np.abs(prob.free[0] - want).max() <= 1e-15
+        pi = product_coupling(X.weights, Y.weights).pi
+        want = mom.point_moments(info.basis, pi.ravel())
+        assert np.abs(info.lift @ prob.free[0] - want).max() <= 1e-15
 
 
 class TestLowerBound:
@@ -183,28 +241,42 @@ def concentration_pair():
     return fine, concentrate_space(fine, part)
 
 
-def reduced_relaxation(X, Y, level):
-    prob, info = assemble_relaxation(X, Y, level=level)
-    perms = _entry_permutations(isometries(X), isometries(Y))
-    return (prob,) + reduce_by_symmetry(prob, info.basis, perms)
+def direct_relaxation(X, Y, level):
+    """The relaxation as assembled when no isometry is found."""
+    with mock.patch.object(hierarchy, "isometries",
+                           lambda space: [np.arange(space.size)]):
+        return assemble_relaxation(X, Y, level=level)
 
 
 def assert_reduced_free_exact(X, Y, level):
     """The reduced affine set is the invariant part of the assembled one."""
-    prob, reduced, orbit = reduced_relaxation(X, Y, level)
-    offset, basis = reduced.free
-    assert np.abs(prob.eq_lhs @ offset[orbit] - prob.eq_rhs).max() <= 1e-12
-    assert np.abs(prob.eq_lhs @ basis[orbit]).max(initial=0.0) <= 1e-11
-    # invariant solutions of the equalities: y = u[orbit] with A P u = b
-    A = prob.eq_lhs @ np.eye(reduced.nvars)[orbit]
-    A = A[np.linalg.norm(A, axis=1) > 0]
-    A /= np.linalg.norm(A, axis=1)[:, None]
-    assert basis.shape[1] == reduced.nvars - np.linalg.matrix_rank(A)
+    prob, info = assemble_relaxation(X, Y, level=level)
+    offset, basis = prob.free
+    assert offset[0] == 1.0
+    assert np.abs(basis[0]).max(initial=0.0) <= 1e-14
+    perms = _entry_permutations(isometries(X), isometries(Y))
+    mono = [info.basis.index_rows(info.basis.exponents[:, np.argsort(perm)])
+            for perm in perms]
+    # every direction lifts to pi-moments that the permutations keep
+    lifted = info.lift @ np.column_stack([offset, basis])
+    for g in mono:
+        assert np.abs(lifted[g] - lifted).max() <= 1e-12
+    # and the invariant w with w_0 = 0 are all spanned: the action of g
+    # on t-moments is A_g = lift[g] read at the t-monomials
+    grid = np.arange(X.size * Y.size).reshape(X.size, Y.size)[:-1, :-1]
+    t_exps = np.zeros((prob.nvars, X.size * Y.size), dtype=np.int64)
+    t_exps[:, grid.ravel()] = mom.get_basis(grid.size, 2 * level).exponents
+    ul = info.basis.index_rows(t_exps)
+    D = np.vstack([info.lift[g][ul][:, 1:] - np.eye(prob.nvars)[:, 1:]
+                   for g in mono])
+    dim = prob.nvars - 1 - np.linalg.matrix_rank(D)
+    assert basis.shape[1] == dim
+    assert np.linalg.matrix_rank(basis) == dim
 
 
 def assert_reduction_exact(X, Y, level, symmetries):
     res = gw_lower_bound(X, Y, level=level)
-    prob, _ = assemble_relaxation(X, Y, level=level)
+    prob, _ = direct_relaxation(X, Y, level)
     direct = sdp.solve(prob)
     assert res.symmetries == symmetries
     assert res.status == direct.status == "optimal"
@@ -241,10 +313,11 @@ class TestSymmetryReduction:
         point = MetricMeasureSpace(labels=["o"], dist=np.zeros((1, 1)),
                                    weights=np.ones(1))
         for level in (1, 2):
-            _, reduced, _ = reduced_relaxation(LINES[2], point, level)
+            reduced, _ = assemble_relaxation(LINES[2], point, level=level)
             assert reduced.free[1].shape == (reduced.nvars, 0)
             res = assert_reduction_exact(LINES[2], point, level, 2)
             assert res.raw_objective == pytest.approx(0.5, abs=1e-12)
+            assert res.iterations == 0
 
     @pytest.mark.parametrize("m,n,level", [
         (m, n, level) for m, n in [(2, 2), (2, 3), (3, 3), (3, 4)]
@@ -256,8 +329,18 @@ class TestSymmetryReduction:
         assert_reduced_free_exact(square(), LINES[3], 2)
         assert_reduced_free_exact(*concentration_pair(), 1)
 
+    def test_only_one_block_per_orbit_is_built(self):
+        reduced, info = assemble_relaxation(LINES[2], LINES[2], level=1)
+        direct, _ = direct_relaxation(LINES[2], LINES[2], level=1)
+        # the 6 pairs of the 4 entries fall into 3 orbits under the
+        # reflections: {01, 23}, {02, 13} and {03, 12}
+        assert info.symmetries == 4
+        assert len(direct.blocks) == 7
+        assert info.block_labels == ("moment", "loc[0,1]", "loc[0,2]",
+                                     "loc[0,3]")
+
     def test_optimum_independent_of_reduced_basis(self):
-        _, reduced, _ = reduced_relaxation(LINES[3], LINES[4], 2)
+        reduced, _ = assemble_relaxation(LINES[3], LINES[4], level=2)
         offset, basis = reduced.free
         rot = np.linalg.qr(np.random.default_rng(7).normal(
             size=(basis.shape[1],) * 2))[0]
@@ -269,10 +352,10 @@ class TestSymmetryReduction:
     def test_trivial_group_solves_the_assembled_problem(self, rng):
         X, Y = random_space(rng, 3), random_space(rng, 2)
         res = gw_lower_bound(X, Y, level=1)
-        prob, _ = assemble_relaxation(X, Y, level=1)
+        prob, info = assemble_relaxation(X, Y, level=1)
         direct = sdp.solve(prob)
         assert res.symmetries == 1
-        assert np.array_equal(res.moments, direct.y)
+        assert np.array_equal(res.moments, info.lift @ direct.y)
         assert res.iterations == direct.iterations
 
     def test_expanded_moments_are_a_tensor_measure(self):

@@ -66,14 +66,12 @@ class TestAnalyticInstances:
 
 
 class TestFreeCoordinates:
-    def test_min_norm_point_and_orthonormal_basis(self, rng):
-        basis = rng.normal(size=(7, 3))
-        offset = rng.normal(size=7)
-        y_p, N = sdp._free_coordinates(offset, basis)
-        assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
-        assert np.abs(N.T @ y_p).max() <= 1e-12
-        w = np.linalg.lstsq(basis, y_p - offset, rcond=None)[0]
-        assert np.abs(offset + basis @ w - y_p).max() <= 1e-12
+    def test_iterates_start_at_the_offset(self, rng):
+        prob, _ = assemble_relaxation(random_space(rng, 2),
+                                      random_space(rng, 3), level=1)
+        sol = sdp.solve(prob, max_iter=0)
+        assert sol.status == "max_iterations"
+        assert np.array_equal(sol.y, prob.free[0])
 
 
 class TestDeterminism:
@@ -87,8 +85,8 @@ class TestDeterminism:
     def test_bit_identical_reruns_with_stacks(self, rng):
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
-        y_p, N = sdp._free_coordinates(*prob.free)
-        lp_g0, _, G0s, _ = sdp._reduce_and_stack(prob.blocks, y_p, N)
+        N = np.linalg.qr(prob.free[1])[0]
+        lp_g0, _, G0s, _ = sdp._stack_blocks(prob.blocks, prob.free[0], N)
         assert len(lp_g0) == 126
         assert [G0.shape for G0 in G0s] == [(1, 15, 15), (36, 5, 5)]
         first, again = sdp.solve(prob), sdp.solve(prob)
@@ -104,6 +102,32 @@ def _random_pd_stack(rng, k, d):
 
 
 class TestStacks:
+    def test_stacked_data_matches_each_block(self, rng):
+        # block by block, each entry is const + sum of vals * y[var_idx],
+        # at y_p and along each column of N, over the block's scale
+        prob, _ = assemble_relaxation(random_space(rng, 3),
+                                      random_space(rng, 3), level=2)
+        y_p = prob.free[0]
+        N = np.linalg.qr(prob.free[1])[0]
+        lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(prob.blocks, y_p, N)
+        got = {1: iter(zip(lp_g0[:, None, None], lp_G[:, None, None, :]))}
+        for G0, G in zip(G0s, Gs):
+            got[G0.shape[1]] = iter(zip(G0, G.transpose(1, 2, 3, 0)))
+
+        def dense(blk, y):
+            M = np.array(blk.const, dtype=float)
+            np.add.at(M, (blk.rows, blk.cols), blk.vals * y[blk.var_idx])
+            return M
+
+        for blk in prob.blocks:
+            g0 = dense(blk, y_p)
+            g = np.stack([dense(blk, col) - blk.const for col in N.T],
+                         axis=-1)
+            scale = max(1.0, np.abs(g0).max(), np.abs(g).max())
+            have0, have = next(got[blk.dim])
+            assert np.allclose(have0, g0 / scale, rtol=0, atol=1e-15)
+            assert np.allclose(have, g / scale, rtol=0, atol=1e-15)
+
     def test_max_step_is_least_generalized_eigenvalue(self, rng):
         M = _random_pd_stack(rng, 6, 4)
         dM = _sym(3.0 * rng.normal(size=(6, 4, 4)))
@@ -144,41 +168,6 @@ class TestStacks:
         assert a.status == b.status == "optimal"
         assert a.objective_value == pytest.approx(b.objective_value,
                                                   abs=1e-8)
-
-
-class TestFacialReduction:
-    def test_common_kernel_removed(self, rng):
-        # build matrices all annihilating a shared direction u
-        d = 5
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        P = np.eye(d) - np.outer(u, u)
-        G0 = P @ rng.normal(size=(d, d))
-        G0 = P @ (G0 + G0.T) @ P
-        G = np.stack([P @ _sym(rng.normal(size=(d, d))) @ P
-                      for _ in range(3)])
-        G0r, Gr = sdp._facial_reduction(G0, G)
-        assert G0r.shape == (d - 1, d - 1)
-        assert Gr.shape == (3, d - 1, d - 1)
-
-    def test_full_rank_untouched(self, rng):
-        d = 4
-        G0 = _sym(rng.normal(size=(d, d))) + 5 * np.eye(d)
-        G = np.stack([_sym(rng.normal(size=(d, d)))])
-        G0r, Gr = sdp._facial_reduction(G0, G)
-        assert np.array_equal(G0r, G0)
-        assert np.array_equal(Gr, G)
-
-    def test_spectrum_preserved_on_complement(self, rng):
-        d = 6
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        P = np.eye(d) - np.outer(u, u)
-        A = P @ (_sym(rng.normal(size=(d, d))) + 4 * np.eye(d)) @ P
-        G0r, _ = sdp._facial_reduction(A, np.zeros((0, d, d)))
-        want = np.sort(np.linalg.eigvalsh(A))[1:]  # drop the forced zero
-        got = np.sort(np.linalg.eigvalsh(G0r))
-        assert np.allclose(got, want, atol=1e-10)
 
 
 def _sym(M):
