@@ -69,13 +69,13 @@ def _load(path) -> MetricMeasureSpace:
     try:
         return load_space(path)
     except (OSError, ValueError, KeyError) as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
 
 
-def _fail(message):
+def _input_error(message):
+    """Report bad input on stderr and exit with the input-error code."""
     click.echo(f"error: {message}", err=True)
-    return None
+    sys.exit(EXIT_INPUT)
 
 
 @click.group()
@@ -105,26 +105,17 @@ def _add_options(opts):
 @click.argument("x_file")
 @click.argument("y_file")
 @_add_options(_common)
-@click.option("--feas-tol", default=sdp.DEFAULT_FEAS_TOL, show_default=True)
-@click.option("--gap-tol", default=sdp.DEFAULT_GAP_TOL, show_default=True)
-@click.option("--max-iter", default=sdp.DEFAULT_MAX_ITER, show_default=True)
-def cmd_lower_bound(x_file, y_file, level, p, q, output,
-                    feas_tol, gap_tol, max_iter):
+def cmd_lower_bound(x_file, y_file, level, p, q, output):
     """Level-r lower bound on the distortion between two spaces."""
     started = time.perf_counter()
     X, Y = _load(x_file), _load(y_file)
     manifest = _manifest("lower-bound",
-                         {"level": level, "p": p, "q": q,
-                          "feas_tol": feas_tol, "gap_tol": gap_tol,
-                          "max_iter": max_iter},
+                         {"level": level, "p": p, "q": q},
                          [x_file, y_file])
     try:
-        res = hierarchy.gw_lower_bound(
-            X, Y, p=p, q=q, level=level,
-            feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
+        res = hierarchy.gw_lower_bound(X, Y, p=p, q=q, level=level)
     except ValidationError as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     _emit({"value": res.value, "root": res.root,
            "raw_objective": res.raw_objective, "status": res.status,
            "iterations": res.iterations, "residuals": res.residuals,
@@ -145,8 +136,7 @@ def cmd_oracle(x_file, y_file, p, q, output):
     try:
         res = oracle.brute_force_gw(X, Y, p=p, q=q)
     except ValidationError as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     _emit({"value": res.value, "root": res.value ** (1.0 / p),
            "evaluations": res.evaluations,
            "coupling": res.coupling.tolist()},
@@ -162,8 +152,8 @@ def cmd_metric_check(space_files, level, p, q, output, tol):
     """Pseudo-metric axioms of the rooted bound across given spaces."""
     started = time.perf_counter()
     if len(space_files) < 3:
-        _fail("metric-check needs at least 3 spaces for triangle checks")
-        sys.exit(EXIT_INPUT)
+        _input_error(
+            "metric-check needs at least 3 spaces for triangle checks")
     spaces = [_load(f) for f in space_files]
     manifest = _manifest("metric-check",
                          {"level": level, "p": p, "q": q, "tol": tol},
@@ -203,8 +193,7 @@ def cmd_glue_check(x_file, y_file, z_file, level, p, q, output, tol):
     try:
         _, R = geometry.glue(P, Q, Y.weights)
     except ValueError as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     report = hierarchy.check_tensor_measure(R, X.weights, Z.weights, tol=tol)
     _emit({"passed": report.passed,
            "symmetry_error": report.symmetry_error,
@@ -272,8 +261,7 @@ def cmd_experiment(ground, grid, sizes, trials, seed, level, p, q,
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:
-        _fail(f"cannot parse sizes '{sizes}'")
-        sys.exit(EXIT_INPUT)
+        _input_error(f"cannot parse sizes '{sizes}'")
     config = {"ground": gd, "sizes": size_list, "trials": trials,
               "seed": seed, "p": p, "q": q, "level": level,
               "k_star": k_star, "jobs": jobs}
@@ -290,8 +278,7 @@ def cmd_experiment(ground, grid, sizes, trials, seed, level, p, q,
     try:
         report = sampling.consistency_experiment(config)
     except ValidationError as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     _emit({"sizes": list(report.sizes),
            "means": list(report.means),
            "stdevs": list(report.stdevs),
@@ -324,8 +311,7 @@ def cmd_solver_dump(x_file, y_file, level, p, q, output):
         problem, info = hierarchy.assemble_relaxation(X, Y, p=p, q=q,
                                                       level=level)
     except ValidationError as exc:
-        _fail(str(exc))
-        sys.exit(EXIT_INPUT)
+        _input_error(str(exc))
     path = output or "problem.json"
     sdp.dump_problem(problem, path)
     _emit({"problem_file": path, "nvars": info.nvars,

@@ -38,6 +38,22 @@ class CellPartition:
         return out
 
 
+def _farthest_point_cover(d: np.ndarray, radius: float) -> tuple:
+    """Sorted representatives and, per point, the position of its own.
+
+    The farthest-point cover of :func:`build_cell_partition`, on the
+    distance matrix d with cell radius at most ``radius``.
+    """
+    reps = [0]
+    dist_to_reps = d[0].copy()
+    while dist_to_reps.max() > radius:
+        far = int(np.argmax(dist_to_reps))
+        reps.append(far)
+        dist_to_reps = np.minimum(dist_to_reps, d[far])
+    reps = sorted(reps)
+    return reps, np.argmin(d[np.asarray(reps)], axis=0)
+
+
 def build_cell_partition(space: MetricMeasureSpace,
                          epsilon: float) -> CellPartition:
     """Greedy farthest-point cover with cells of radius at most epsilon.
@@ -50,14 +66,7 @@ def build_cell_partition(space: MetricMeasureSpace,
     """
     n = space.size
     d = space.dist
-    reps = [0]
-    dist_to_reps = d[0].copy()
-    while dist_to_reps.max() > epsilon:
-        far = int(np.argmax(dist_to_reps))
-        reps.append(far)
-        dist_to_reps = np.minimum(dist_to_reps, d[far])
-    reps = sorted(reps)
-    assign = np.argmin(d[np.asarray(reps)], axis=0)
+    reps, assign = _farthest_point_cover(d, epsilon)
     cells = tuple(tuple(np.flatnonzero(assign == k)) for k in range(len(reps)))
     radius = float(max(d[reps[assign[i]], i] for i in range(n)))
     return CellPartition(cells=cells, representatives=tuple(reps),
@@ -260,7 +269,7 @@ class PseudoMetricReport:
 
 
 def pseudo_metric_check(spaces, p: float = 1.0, q: float = 1.0,
-                        level: int = 1, **solver_opts) -> PseudoMetricReport:
+                        level: int = 1) -> PseudoMetricReport:
     """Evaluate the bound on all ordered pairs and test the metric axioms.
 
     The rooted bound (value^(1/p)) should vanish on the diagonal, be
@@ -271,8 +280,7 @@ def pseudo_metric_check(spaces, p: float = 1.0, q: float = 1.0,
     statuses = {}
     for a in range(k):
         for b in range(k):
-            res = gw_lower_bound(spaces[a], spaces[b], p=p, q=q, level=level,
-                                 **solver_opts)
+            res = gw_lower_bound(spaces[a], spaces[b], p=p, q=q, level=level)
             roots[a, b] = res.root
             statuses[(a, b)] = res.status
     sym_err = float(np.abs(roots - roots.T).max())

@@ -292,18 +292,16 @@ class GwBound:
 
 
 def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
-                   p: float = 1.0, q: float = 1.0, level: int = 1,
-                   feas_tol: float = sdp.DEFAULT_FEAS_TOL,
-                   gap_tol: float = sdp.DEFAULT_GAP_TOL,
-                   max_iter: int = sdp.DEFAULT_MAX_ITER) -> GwBound:
+                   p: float = 1.0, q: float = 1.0, level: int = 1) -> GwBound:
     """Level-r semidefinite lower bound on the distortion infimum gw(X, Y).
 
     When X or Y has an exact isometry, the relaxation is solved over
-    invariant moments (module docstring).
+    invariant moments (module docstring).  The SDP stops on
+    :mod:`gwsos.sdp`'s fixed tolerances or iteration cap, and ``status``
+    says which.
     """
     problem, info = assemble_relaxation(X, Y, p, q, level)
-    sol = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol,
-                    max_iter=max_iter)
+    sol = sdp.solve(problem)
     raw = sol.objective_value
     value = max(raw, 0.0) if np.isfinite(raw) else np.nan
     root = value ** (1.0 / p) if np.isfinite(raw) else np.nan

@@ -64,14 +64,6 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    def index(self, exponent) -> int:
-        key = np.asarray(exponent, dtype=np.uint8).tobytes()
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise KeyError(f"monomial {tuple(exponent)} exceeds degree "
-                           f"{self.maxdeg}") from None
-
     def index_rows(self, exponents: np.ndarray) -> np.ndarray:
         """Vectorized index lookup for an (k, nvars) array of exponents."""
         exps = np.ascontiguousarray(exponents, dtype=np.uint8)
@@ -95,18 +87,3 @@ def point_moments(basis: MonomialBasis, point: np.ndarray) -> np.ndarray:
         logs = pt[None, :] ** basis.exponents.astype(np.int64)
     return logs.prod(axis=1)
 
-
-def index_table(basis: MonomialBasis, row_exponents: np.ndarray,
-                shift=None) -> np.ndarray:
-    """Moment indices of a (shifted) outer-product monomial grid.
-
-    Entry (a, b) is the basis index of row_a + row_b + shift, so gathering
-    a moment vector through this table produces the corresponding moment or
-    localizing matrix.
-    """
-    rows = np.asarray(row_exponents, dtype=np.int64)
-    grid = rows[:, None, :] + rows[None, :, :]
-    if shift is not None:
-        grid = grid + np.asarray(shift, dtype=np.int64)
-    k = len(rows)
-    return basis.index_rows(grid.reshape(k * k, -1)).reshape(k, k)

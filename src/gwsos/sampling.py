@@ -15,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from .geometry import CellPartition, build_cell_partition, partition_from_cells
+from .geometry import (CellPartition, _farthest_point_cover,
+                       partition_from_cells)
 from .hierarchy import gw_lower_bound
 from .spaces import (MetricMeasureSpace, ValidationError,
                      merge_coincident_points, normalize_diameter)
@@ -122,42 +123,35 @@ class DyadicPartition:
     k_star: int
 
 
-def build_dyadic_partition(space: MetricMeasureSpace, k_star: int,
-                           delta: float = DELTA) -> DyadicPartition:
+def build_dyadic_partition(space: MetricMeasureSpace,
+                           k_star: int) -> DyadicPartition:
     """Greedy nested covering: each level refines its parent's cells.
 
     Cells at level k are built by farthest-point covering with radius
-    delta^k / 2 inside each level-(k-1) cell, which bounds their diameter
-    by delta^k and forces exact nesting.
+    DELTA^k / 2 inside each level-(k-1) cell, which bounds their diameter
+    by DELTA^k and forces exact nesting.
     """
     if k_star < 1:
         raise ValidationError(f"k_star must be >= 1, got {k_star}")
-    if delta ** k_star < _UNDERFLOW:
-        k_star = int(np.floor(np.log(_UNDERFLOW) / np.log(delta)))
+    if DELTA ** k_star < _UNDERFLOW:
+        k_star = int(np.floor(np.log(_UNDERFLOW) / np.log(DELTA)))
         warnings.warn(f"partition depth capped at {k_star} to avoid "
                       "cell-diameter underflow", stacklevel=2)
     levels = []
     parent_cells = [tuple(range(space.size))]
     for k in range(1, k_star + 1):
-        radius = delta ** k / 2.0
         cells, reps = [], []
         for cell in parent_cells:
             cell = list(cell)
-            sub = space.dist[np.ix_(cell, cell)]
-            local_reps = [0]
-            cover = sub[0].copy()
-            while cover.max() > radius:
-                far = int(np.argmax(cover))
-                local_reps.append(far)
-                cover = np.minimum(cover, sub[far])
-            assign = np.argmin(sub[np.asarray(sorted(local_reps))], axis=0)
-            for r_local, rep in enumerate(sorted(local_reps)):
+            local_reps, assign = _farthest_point_cover(
+                space.dist[np.ix_(cell, cell)], DELTA ** k / 2.0)
+            for r_local, rep in enumerate(local_reps):
                 members = [cell[i] for i in np.flatnonzero(assign == r_local)]
                 cells.append(tuple(members))
                 reps.append(cell[rep])
         levels.append(partition_from_cells(space, cells, reps))
         parent_cells = cells
-    return DyadicPartition(levels=tuple(levels), delta=delta, k_star=k_star)
+    return DyadicPartition(levels=tuple(levels), delta=DELTA, k_star=k_star)
 
 
 def level_discrepancy(partition: CellPartition, w1, w2) -> float:
@@ -229,12 +223,11 @@ class RateReport:
     config: dict
 
 
-def _run_trial(ground, n, trial_seed, p, q, level, k_star):
+def _run_trial(ground, part, n, trial_seed, p, q, level):
     emp = merge_coincident_points(sample_empirical(ground, n, trial_seed))
     res = gw_lower_bound(ground.space, emp, p=p, q=q, level=level)
     if res.status not in ("optimal", "max_iterations"):
         raise RuntimeError(f"solver status {res.status}")
-    part = build_dyadic_partition(ground.space, k_star)
     emp_w = empirical_weights(ground, n, trial_seed)
     tbound = transport_upper_bound(emp_w, ground.space.weights, part, p, q)
     return res.value, tbound
@@ -255,6 +248,8 @@ def consistency_experiment(config: dict) -> RateReport:
     level = int(config.get("level", 1))
     k_star = int(config.get("k_star", 3))
     jobs = int(config.get("jobs", 1))
+    # one partition for every trial; it is immutable, so threads share it
+    part = build_dyadic_partition(ground.space, k_star)
 
     values = np.full((len(sizes), trials), np.nan)
     tbounds = np.full((len(sizes), trials), np.nan)
@@ -265,7 +260,7 @@ def consistency_experiment(config: dict) -> RateReport:
     def run(task):
         a, t, n, trial_seed = task
         try:
-            return a, t, _run_trial(ground, n, trial_seed, p, q, level, k_star)
+            return a, t, _run_trial(ground, part, n, trial_seed, p, q, level)
         except RuntimeError:
             return a, t, None
 

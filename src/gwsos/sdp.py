@@ -21,11 +21,13 @@ Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
 and dual iterates move by one common step length, as in the infeasible
 IPM of Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let
 the primal step collapse while the dual one stays long, and the solve
-can stall.  It stops on the residuals and on the gap relative to the
-objective in the caller's units.  Each iteration factors every S and X
-block once by Cholesky; the factors and their inverses serve the
-scaling, S^-1 and every step length.  The Schur complement is factored
-as it is, with a small ridge only when its Cholesky factorization fails.
+can stall.  It stops when the primal and dual residuals are below
+``FEAS_TOL`` and the gap relative to the objective in the caller's units
+is below ``GAP_TOL``, or after ``max_iter`` iterations.  Each iteration
+factors every S and X block once by Cholesky; the factors and their
+inverses serve the scaling, S^-1 and every step length.  The Schur
+complement is factored as it is, with a small ridge only when its
+Cholesky factorization fails, and each direction is one solve with it.
 The PSD blocks are stacked by size into dense (k, d, d) arrays, and
 every kernel of an iteration runs once per stack as a batched call, not
 once per block.  Results are deterministic for a fixed input.
@@ -39,8 +41,8 @@ import json
 import numpy as np
 from scipy import linalg, sparse
 
-DEFAULT_FEAS_TOL = 1e-7
-DEFAULT_GAP_TOL = 1e-7
+FEAS_TOL = 1e-7  # primal and dual residuals at the stop
+GAP_TOL = 1e-7   # gap relative to the objective at the stop
 DEFAULT_MAX_ITER = 200
 
 _STEP_FRACTION = 0.98
@@ -167,8 +169,10 @@ def _nt_scaling(Ls, Lx):
 def _schur_factor(M):
     """Cholesky factor of M, with a small ridge only if M alone fails.
 
-    A ridge that is always on cannot be undone by one refinement step on
-    M's small eigendirections, so the dual residual climbs as mu -> 0.
+    The directions take one solve with this factor.  A ridge that is
+    always on biases them: as mu -> 0 the small eigenvalues of M shrink
+    toward the ridge, the directions stop solving the Newton system on
+    those eigendirections, and the dual residual climbs.
     """
     try:
         return np.linalg.cholesky(M)
@@ -219,8 +223,6 @@ def _stack_blocks(blocks, y_p, N):
 
 
 def solve(problem: SdpProblem,
-          feas_tol: float = DEFAULT_FEAS_TOL,
-          gap_tol: float = DEFAULT_GAP_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve an SDP; see the module docstring for the problem format."""
     c_full = problem.objective
@@ -248,7 +250,7 @@ def solve(problem: SdpProblem,
         lam_min = min((np.linalg.eigvalsh(G0)[:, 0].min() for G0 in G0s),
                       default=0.0)
         lp_min = lp_g0.min() if nlp else 0.0
-        ok = lam_min >= -feas_tol and lp_min >= -feas_tol
+        ok = lam_min >= -FEAS_TOL and lp_min >= -FEAS_TOL
         return finish(np.zeros(0),
                       "optimal" if ok else "infeasible_suspected", 0,
                       {"min_eig": float(min(lam_min, lp_min))})
@@ -295,7 +297,7 @@ def solve(problem: SdpProblem,
         relgap = abs(gap) / (obj_scale + abs(pobj) + abs(dobj))
         residuals = {"primal": float(pres), "dual": float(dres),
                      "gap": float(relgap), "mu": float(mu)}
-        if pres < feas_tol and dres < feas_tol and relgap < gap_tol:
+        if pres < FEAS_TOL and dres < FEAS_TOL and relgap < GAP_TOL:
             return finish(z, "optimal", it, residuals)
         err = max(pres, dres, relgap)
         if err < best_err * 0.99:
@@ -304,7 +306,7 @@ def solve(problem: SdpProblem,
             stall += 1
         if stall > 30 or np.linalg.norm(z) > 1e9:
             status = ("infeasible_suspected"
-                      if pres > 1e3 * feas_tol else "numerical_failure")
+                      if pres > 1e3 * FEAS_TOL else "numerical_failure")
             return finish(z, status, it, residuals)
 
         # one Cholesky factorization and inverse of each iterate serve the
@@ -352,7 +354,6 @@ def solve(problem: SdpProblem,
                     lp_target = lp_target - corr_lp / s_lp
                 rhs += lp_G.T @ (lp_target + (x_lp / s_lp) * r_lp)
             dz = linalg.cho_solve((Lm, True), rhs)
-            dz += linalg.cho_solve((Lm, True), rhs - M @ dz)
             dS, dX = [], []
             for s in range(nst):
                 R = scal[s]

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 
 TRIANGLE_TOL = 1e-9
-WEIGHT_TOL = 1e-9
 DIAMETER_TOL = 1e-9
 MAX_ISOMETRY_NODES = 1024  # partial assignments one isometry search visits
 
@@ -56,17 +55,11 @@ class MetricMeasureSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.size else 0.0
 
-    @property
-    def zero_weight_indices(self) -> list:
-        return [i for i, w in enumerate(self.weights) if w == 0.0]
-
-    def is_normalized(self, tol: float = DIAMETER_TOL) -> bool:
-        return self.diameter <= 1.0 + tol
+    def is_normalized(self) -> bool:
+        return self.diameter <= 1.0 + DIAMETER_TOL
 
 
-def validate_space(space: MetricMeasureSpace,
-                   triangle_tol: float = TRIANGLE_TOL,
-                   weight_tol: float = 1e-8) -> None:
+def validate_space(space: MetricMeasureSpace) -> None:
     """Raise :class:`ValidationError` on the first violated invariant."""
     d, w = space.dist, space.weights
     n = len(space.labels)
@@ -91,7 +84,7 @@ def validate_space(space: MetricMeasureSpace,
         raise ValidationError(f"nonzero diagonal at ({i}, {i}): {d[i, i]}")
     # triangle inequality: d[i,k] <= d[i,j] + d[j,k] for all i, j, k
     slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
-    viol = np.argwhere(slack > triangle_tol)
+    viol = np.argwhere(slack > TRIANGLE_TOL)
     if viol.size:
         i, j, k = viol[0]
         raise ValidationError(
@@ -102,7 +95,7 @@ def validate_space(space: MetricMeasureSpace,
         i = int(np.argwhere(w < 0)[0][0])
         raise ValidationError(f"negative weight at index {i}: {w[i]}")
     total = float(w.sum())
-    if abs(total - 1.0) > weight_tol:
+    if abs(total - 1.0) > 1e-8:
         raise ValidationError(f"weights sum to {total}, expected 1")
 
 
@@ -159,7 +152,8 @@ def load_space(source) -> MetricMeasureSpace:
     """Build a validated space from a dict, a JSON string, or a file path.
 
     Unknown fields trigger a warning but are otherwise ignored.  Points with
-    zero weight are retained; see :attr:`MetricMeasureSpace.zero_weight_indices`.
+    zero weight are retained; :func:`gwsos.hierarchy.gw_lower_bound` drops
+    them before it solves.
     """
     if isinstance(source, dict):
         doc = source
@@ -183,15 +177,6 @@ def load_space(source) -> MetricMeasureSpace:
                               dist=np.asarray(doc["dist"], dtype=float),
                               weights=np.asarray(doc["weights"], dtype=float),
                               name=str(doc.get("name", "")))
-
-
-def space_to_dict(space: MetricMeasureSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "dist": space.dist.tolist(),
-        "weights": space.weights.tolist(),
-        "name": space.name,
-    }
 
 
 def normalize_diameter(space: MetricMeasureSpace) -> MetricMeasureSpace:
@@ -255,12 +240,6 @@ class CostTensor:
                 f"(m, n, m, n) = {(self.m, self.n, self.m, self.n)}")
         object.__setattr__(self, "entries", entries)
         self.entries.setflags(write=False)
-
-    def swapped(self) -> "CostTensor":
-        """Cost tensor with the roles of the two spaces exchanged."""
-        return CostTensor(m=self.n, n=self.m,
-                          entries=self.entries.transpose(1, 0, 3, 2),
-                          p=self.p, q=self.q)
 
 
 def build_cost_tensor(X: MetricMeasureSpace, Y: MetricMeasureSpace,

@@ -47,7 +47,7 @@ class TestLowerBound:
         assert rec["value"] == pytest.approx(0.25, abs=1e-4)
         man = rec["manifest"]
         assert man["command"] == "lower-bound"
-        assert man["parameters"]["level"] == 1
+        assert man["parameters"] == {"level": 1, "p": 1.0, "q": 1.0}
         assert len(man["inputs"]) == 2
         assert all(len(d) == 16 for d in man["inputs"].values())
         assert man["elapsed_s"] >= 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,15 @@ class TestConsistencyExperiment:
         serial = consistency_experiment(dict(base, jobs=1))
         parallel = consistency_experiment(dict(base, jobs=2))
         assert serial.means == parallel.means
+
+    def test_partition_built_once_per_experiment(self):
+        # the depth cap warns each time the partition is built
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            consistency_experiment({"ground": four_point_ground(),
+                                    "sizes": [4, 8], "trials": 2,
+                                    "seed": 0, "k_star": 40})
+        assert len(caught) == 1 and "capped" in str(caught[0].message)
 
     def test_out_of_domain_rate_curve_empty(self):
         report = consistency_experiment({
