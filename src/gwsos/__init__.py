@@ -11,8 +11,8 @@ from .spaces import (MetricMeasureSpace, ValidationError, Coupling,
                      CostTensor, build_cost_tensor, load_space,
                      normalize_diameter, merge_coincident_points,
                      product_coupling, lipschitz_constant)
-from .hierarchy import (gw_lower_bound, assemble_relaxation, GwBound,
-                        TensorMeasure, moments_to_tensor_measure,
+from .hierarchy import (gw_lower_bound, gw_lower_bounds, assemble_relaxation,
+                        GwBound, TensorMeasure, moments_to_tensor_measure,
                         tensor_measure_to_moments, coupling_tensor_measure,
                         check_tensor_measure)
 from .oracle import brute_force_gw, evaluate_objective, OracleResult
@@ -32,7 +32,8 @@ __all__ = [
     "MetricMeasureSpace", "ValidationError", "Coupling", "CostTensor",
     "build_cost_tensor", "load_space", "normalize_diameter",
     "merge_coincident_points", "product_coupling", "lipschitz_constant",
-    "gw_lower_bound", "assemble_relaxation", "GwBound", "TensorMeasure",
+    "gw_lower_bound", "gw_lower_bounds", "assemble_relaxation", "GwBound",
+    "TensorMeasure",
     "moments_to_tensor_measure", "tensor_measure_to_moments",
     "coupling_tensor_measure", "check_tensor_measure",
     "brute_force_gw", "evaluate_objective", "OracleResult",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -158,7 +157,10 @@ def cmd_metric_check(space_files, level, p, q, output, tol):
     manifest = _manifest("metric-check",
                          {"level": level, "p": p, "q": q, "tol": tol},
                          space_files)
-    report = geometry.pseudo_metric_check(spaces, p=p, q=q, level=level)
+    try:
+        report = geometry.pseudo_metric_check(spaces, p=p, q=q, level=level)
+    except ValidationError as exc:
+        _input_error(str(exc))
     statuses = {str(k): v for k, v in report.statuses}
     bad_solve = any(v not in ("optimal",) for v in statuses.values())
     _emit({"roots": report.roots.tolist(),
@@ -240,11 +242,9 @@ def cmd_concentrate(x_file, epsilon, output):
 @click.option("--rate-s", default=None, type=float,
               help="Dimension parameter for the rate-bound curve.")
 @click.option("--eps-prime", default=1.0, show_default=True)
-@click.option("--jobs", default=None, type=int,
-              help="Worker count; default from GWSOS_JOBS or 1.")
 @click.option("--output", "-o", default=None)
 def cmd_experiment(ground, grid, sizes, trials, seed, level, p, q,
-                   k_star, rate_s, eps_prime, jobs, output):
+                   k_star, rate_s, eps_prime, output):
     """Sampling-consistency experiment against a ground measure."""
     started = time.perf_counter()
     if ground == "interval":
@@ -256,15 +256,13 @@ def cmd_experiment(ground, grid, sizes, trials, seed, level, p, q,
     else:
         gd = sampling.ground_finite(_load(ground))
         inputs = [ground]
-    if jobs is None:
-        jobs = int(os.environ.get("GWSOS_JOBS", "1"))
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:
         _input_error(f"cannot parse sizes '{sizes}'")
     config = {"ground": gd, "sizes": size_list, "trials": trials,
               "seed": seed, "p": p, "q": q, "level": level,
-              "k_star": k_star, "jobs": jobs}
+              "k_star": k_star}
     if rate_s is not None:
         config["rate_s"] = rate_s
         config["eps_prime"] = eps_prime
@@ -273,7 +271,7 @@ def cmd_experiment(ground, grid, sizes, trials, seed, level, p, q,
                           "sizes": size_list, "trials": trials,
                           "level": level, "p": p, "q": q,
                           "k_star": k_star, "rate_s": rate_s,
-                          "eps_prime": eps_prime, "jobs": jobs},
+                          "eps_prime": eps_prime},
                          inputs, seed=seed)
     try:
         report = sampling.consistency_experiment(config)

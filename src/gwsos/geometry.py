@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .hierarchy import TensorMeasure, gw_lower_bound
+from .hierarchy import TensorMeasure, gw_lower_bounds
 from .spaces import MetricMeasureSpace, lipschitz_constant
 
 
@@ -274,15 +274,14 @@ def pseudo_metric_check(spaces, p: float = 1.0, q: float = 1.0,
 
     The rooted bound (value^(1/p)) should vanish on the diagonal, be
     symmetric, and satisfy the triangle inequality up to solver accuracy.
+    The k^2 relaxations are solved in one :func:`gw_lower_bounds` call.
     """
     k = len(spaces)
-    roots = np.zeros((k, k))
-    statuses = {}
-    for a in range(k):
-        for b in range(k):
-            res = gw_lower_bound(spaces[a], spaces[b], p=p, q=q, level=level)
-            roots[a, b] = res.root
-            statuses[(a, b)] = res.status
+    pairs = list(itertools.product(range(k), repeat=2))
+    results = gw_lower_bounds(((spaces[a], spaces[b]) for a, b in pairs),
+                              p=p, q=q, level=level)
+    roots = np.array([res.root for res in results]).reshape(k, k)
+    statuses = {pair: res.status for pair, res in zip(pairs, results)}
     sym_err = float(np.abs(roots - roots.T).max())
     diag_max = float(np.abs(np.diag(roots)).max())
     tri = 0.0

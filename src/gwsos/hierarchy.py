@@ -291,6 +291,14 @@ class GwBound:
     symmetries: int       # coupling-entry permutations the solve used
 
 
+# Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
+# level-1 relaxation has 0.12 MB of them, and its assembled problem, lift
+# and IPM temporaries take about three times that again, so a chunk adds
+# about 2 MB to peak RSS however many pairs there are, while its lockstep
+# batches still share each kernel call among several problems.
+_CHUNK_BYTES = 1 << 19
+
+
 def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
                    p: float = 1.0, q: float = 1.0, level: int = 1) -> GwBound:
     """Level-r semidefinite lower bound on the distortion infimum gw(X, Y).
@@ -298,16 +306,52 @@ def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     When X or Y has an exact isometry, the relaxation is solved over
     invariant moments (module docstring).  The SDP stops on
     :mod:`gwsos.sdp`'s fixed tolerances or iteration cap, and ``status``
-    says which.
+    says which.  This is :func:`gw_lower_bounds` on one pair.
     """
-    problem, info = assemble_relaxation(X, Y, p, q, level)
-    sol = sdp.solve(problem)
+    return gw_lower_bounds([(X, Y)], p, q, level)[0]
+
+
+def gw_lower_bounds(pairs, p: float = 1.0, q: float = 1.0,
+                    level: int = 1) -> list:
+    """:func:`gw_lower_bound` of each (X, Y) of the iterable pairs, in order.
+
+    Pairs are taken from the iterable, assembled and solved in chunks; a
+    chunk closes once its dense solver data pass ``_CHUNK_BYTES``, so
+    memory does not grow with the number of pairs.  Within a chunk,
+    relaxations of one shape are solved in lockstep by
+    :func:`gwsos.sdp.solve_many`, and each bound is the one its pair gets
+    alone.  A chunk of one problem goes through :func:`gwsos.sdp.solve`.
+    """
+    bounds, chunk, used = [], [], 0
+    for X, Y in pairs:
+        chunk.append(assemble_relaxation(X, Y, p, q, level))
+        used += sdp.dense_bytes(chunk[-1][0])
+        if used > _CHUNK_BYTES:
+            bounds += _solve_chunk(chunk, p, q)
+            chunk, used = [], 0
+    return bounds + _solve_chunk(chunk, p, q)
+
+
+def _solve_chunk(chunk, p, q):
+    """The GwBounds of a list of assembled (problem, info) pairs."""
+    if not chunk:
+        return []
+    problems, infos = zip(*chunk)
+    # a lone problem goes through sdp.solve, so that tracing which wraps
+    # sdp.solve (perfbench --trace 1) sees each gw_lower_bound solve
+    sols = (sdp.solve_many(problems) if len(problems) > 1
+            else [sdp.solve(problems[0])])
+    return [_bound(info, sol, p, q) for info, sol in zip(infos, sols)]
+
+
+def _bound(info, sol, p, q):
+    """The GwBound of one solved relaxation."""
     raw = sol.objective_value
     value = max(raw, 0.0) if np.isfinite(raw) else np.nan
     root = value ** (1.0 / p) if np.isfinite(raw) else np.nan
     return GwBound(value=value, raw_objective=raw, root=root,
                    status=sol.status, iterations=sol.iterations,
-                   residuals=sol.residuals, level=level, p=p, q=q,
+                   residuals=sol.residuals, level=info.level, p=p, q=q,
                    m=info.m, n=info.n, moments=info.lift @ sol.y,
                    symmetries=info.symmetries)
 

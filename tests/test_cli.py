@@ -126,6 +126,13 @@ class TestMetricCheck:
                                       files["b"]])
         assert result.exit_code == 1
 
+    def test_bad_level_exits_one(self, runner, files):
+        result = runner.invoke(main, ["metric-check", files["a"],
+                                      files["b"], files["c"], "--level", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: hierarchy level" in result.stderr
+
 
 class TestGlueCheck:
     def test_product_tensors(self, runner, files):
@@ -162,6 +169,7 @@ class TestExperiment:
         assert result.exit_code == 0
         rec = record(result)
         assert rec["sizes"] == [2, 4]
+        assert "jobs" not in rec["manifest"]["parameters"]
         assert rec["failures"] == 0
         assert len(rec["rate_curve"]) == 2
         assert "n\tmean" in result.output
@@ -176,13 +184,6 @@ class TestExperiment:
         r1, r2 = runner.invoke(main, args), runner.invoke(main, args)
         rec1, rec2 = record(r1), record(r2)
         assert rec1["means"] == rec2["means"]
-
-    def test_jobs_env_default(self, runner, files, monkeypatch):
-        monkeypatch.setenv("GWSOS_JOBS", "2")
-        result = runner.invoke(main, ["experiment", "--ground", files["a"],
-                                      "--sizes", "4", "--trials", "2"])
-        assert result.exit_code == 0
-        assert record(result)["manifest"]["parameters"]["jobs"] == 2
 
 
 class TestSolverDump:

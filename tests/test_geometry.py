@@ -191,3 +191,11 @@ class TestPseudoMetric:
         assert report.passed(tol=1e-4)
         assert report.roots.shape == (3, 3)
         assert all(status == "optimal" for _, status in report.statuses)
+
+    def test_roots_match_a_per_pair_loop(self, rng):
+        # one batched solve gives each pair the bound of its solo solve
+        spaces = [random_space(rng, k) for k in (2, 3, 3)]
+        report = pseudo_metric_check(spaces, p=1, q=1, level=1)
+        want = [[gw_lower_bound(a, b, p=1, q=1, level=1).root
+                 for b in spaces] for a in spaces]
+        np.testing.assert_allclose(report.roots, want, rtol=0, atol=1e-12)

@@ -6,8 +6,8 @@ import pytest
 from gwsos import (MetricMeasureSpace, ValidationError, brute_force_gw,
                    build_dyadic_partition, consistency_experiment,
                    ground_circle, ground_finite, ground_interval,
-                   ground_mixture, rate_bound, sample_empirical,
-                   transport_upper_bound)
+                   ground_mixture, gw_lower_bound, merge_coincident_points,
+                   rate_bound, sample_empirical, transport_upper_bound)
 from gwsos.sampling import (cost_profile, empirical_weights,
                             level_discrepancy)
 
@@ -178,12 +178,21 @@ class TestConsistencyExperiment:
         assert r1.means == r2.means
         assert r1.transport_means == r2.transport_means
 
-    def test_parallel_matches_serial(self):
-        base = {"ground": four_point_ground(), "sizes": [4, 8],
-                "trials": 2, "seed": 9}
-        serial = consistency_experiment(dict(base, jobs=1))
-        parallel = consistency_experiment(dict(base, jobs=2))
-        assert serial.means == parallel.means
+    def test_means_match_a_per_trial_loop(self):
+        # one batched solve gives each trial the bound of its solo solve
+        ground = four_point_ground()
+        report = consistency_experiment({"ground": ground, "sizes": [4, 8],
+                                         "trials": 3, "seed": 9})
+        part = build_dyadic_partition(ground.space, 3)
+        for n, mean, tmean in zip((4, 8), report.means,
+                                  report.transport_means):
+            values = [gw_lower_bound(ground.space, merge_coincident_points(
+                sample_empirical(ground, n, 9 + t))).value for t in range(3)]
+            tbounds = [transport_upper_bound(
+                empirical_weights(ground, n, 9 + t), ground.space.weights,
+                part, 1.0, 1.0) for t in range(3)]
+            assert mean == pytest.approx(np.mean(values), rel=0, abs=1e-12)
+            assert tmean == np.mean(tbounds)
 
     def test_partition_built_once_per_experiment(self):
         # the depth cap warns each time the partition is built

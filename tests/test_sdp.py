@@ -65,6 +65,46 @@ class TestAnalyticInstances:
         assert sol.status != "optimal"
 
 
+def lp_problem(objective, const, free):
+    """One LP row, const + y_0 >= 0, over nvars = len(objective)."""
+    blk = sdp.PsdBlock(dim=1, const=np.array([[const]]),
+                       var_idx=np.array([0]), rows=np.array([0]),
+                       cols=np.array([0]), vals=np.array([1.0]))
+    return sdp.SdpProblem(nvars=len(objective), objective=objective,
+                          free=free, blocks=[blk])
+
+
+class TestSolveMany:
+    def test_each_problem_gets_its_solo_solve(self, rng):
+        relaxations = [assemble_relaxation(random_space(rng, 2),
+                                           random_space(rng, 3), level=1)[0]
+                       for _ in range(3)]
+        problems = relaxations + [
+            analytic_problem(),
+            # unbounded: min -y_0 with y_0 >= 0 only
+            lp_problem([-1.0], 0.0, ([0.0], np.eye(1))),
+            # min y_0 with y_0 >= -2: optimal
+            lp_problem([1.0], 2.0, ([0.0], np.eye(1))),
+            # y_0 is fixed and y_1 appears in no block, so the Schur
+            # matrix is zero and its factorization fails
+            lp_problem([0.0, 1.0], 1.0, (np.zeros(2), np.eye(2)[:, 1:])),
+            # nothing free: y = 3 is checked, not solved for
+            lp_problem([1.0], 0.0, ([3.0], np.zeros((1, 0)))),
+        ]
+        assert len({sdp._shape(p) for p in problems}) == 4
+        solo = [sdp.solve(p, max_iter=60) for p in problems]
+        assert [s.status for s in solo[-4:]] == [
+            "numerical_failure", "optimal", "numerical_failure", "optimal"]
+        assert solo[-2].iterations == 0
+        for order in (range(len(problems)), [6, 0, 4, 7, 3, 5, 2, 1]):
+            order = list(order)
+            sols = sdp.solve_many([problems[i] for i in order], max_iter=60)
+            for i, sol in zip(order, sols):
+                assert sol.status == solo[i].status
+                assert sol.iterations == solo[i].iterations
+                assert np.allclose(sol.y, solo[i].y, rtol=0, atol=1e-9)
+
+
 class TestFreeCoordinates:
     def test_iterates_start_at_the_offset(self, rng):
         prob, _ = assemble_relaxation(random_space(rng, 2),
