@@ -173,17 +173,18 @@ def reduce_by_symmetry(basis, L, t_rows, entry_perms):
 
 
 def _localizing_blocks(basis, tbasis, L, level, orbit, entry_ids):
-    """M_r (h = 0), then the localizing blocks, in h order.
+    """M_r (h = 0), then the localizing blocks: one record per h.
 
     One shift table T[a, b, g] = index of t^(a+b+g) serves all subsets I
     of one h: block I adds L[e_I, g] w[T[a, b, g]] at (a, b) for each g
     with L[e_I, g] != 0.  With ``orbit``, only the first subset of each
-    orbit of e_I gets a block; labels name entries by ``entry_ids``.
+    orbit of e_I gets a block.  Returns the records and one label per
+    block, naming entries by ``entry_ids``.
     """
     nvars, k = basis.nvars, tbasis.nvars
     exps = tbasis.exponents.astype(np.int64)
-    blocks = []
-    for h in range(level + 1):
+    blocks, labels = [], []
+    for h in range(min(level, nvars // 2) + 1):
         d = mom.basis_size(k, level - h)
         width = mom.basis_size(k, 2 * h)
         subsets = np.array(list(itertools.combinations(range(nvars), 2 * h)),
@@ -200,20 +201,13 @@ def _localizing_blocks(basis, tbasis, L, level, orbit, entry_ids):
              exps[None, None, :width]).reshape(-1, k)).reshape(d * d, width)
         coef = L[rows, :width]
         which, g = np.nonzero(coef)
-        var_idx = T[:, g].T.ravel()
-        vals = np.repeat(coef[which, g], d * d)
-        cells = np.tile(np.arange(d * d), len(g))
-        bounds = np.append(0, np.cumsum(
-            np.bincount(which, minlength=len(rows)))) * d * d
-        cell_rows, cell_cols = np.divmod(cells, d)
-        for subset, lo, hi in zip(subsets, bounds[:-1], bounds[1:]):
-            label = (f"loc[{','.join(map(str, entry_ids[subset]))}]"
-                     if h else "moment")
-            blocks.append(sdp.PsdBlock(
-                dim=d, const=np.zeros((d, d)), var_idx=var_idx[lo:hi],
-                rows=cell_rows[lo:hi], cols=cell_cols[lo:hi],
-                vals=vals[lo:hi], label=label))
-    return blocks
+        blocks.append(sdp.PsdBlock(
+            const=np.zeros((len(rows), d, d)), var_idx=T[:, g].T.ravel(),
+            cells=(which[:, None] * (d * d) + np.arange(d * d)).ravel(),
+            vals=np.repeat(coef[which, g], d * d)))
+        labels += [f"loc[{','.join(map(str, entry_ids[subset]))}]"
+                   if h else "moment" for subset in subsets]
+    return blocks, labels
 
 
 def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
@@ -241,7 +235,7 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     entry_ids = np.flatnonzero(np.outer(kx, ky))  # kept among all m*n
     k = (Xs.size - 1) * (Ys.size - 1)
     nt = L.shape[1]
-    blocks, free = [], (np.ones(1), np.zeros((1, 0)))
+    blocks, labels, free = [], [], (np.ones(1), np.zeros((1, 0)))
     if k:
         tbasis = mom.get_basis(k, 2 * level)
         grid = np.arange(nvars).reshape(Xs.size, Ys.size)
@@ -253,8 +247,8 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
             orbit, free_basis = reduce_by_symmetry(
                 basis, L, basis.index_rows(t_exps), perms)
         free = (mom.point_moments(tbasis, t0), free_basis)
-        blocks = _localizing_blocks(basis, tbasis, L, level, orbit,
-                                    entry_ids)
+        blocks, labels = _localizing_blocks(basis, tbasis, L, level, orbit,
+                                            entry_ids)
     problem = sdp.SdpProblem(nvars=nt, objective=c @ L, blocks=blocks,
                              free=free, eq_lhs=np.eye(1, nt), eq_rhs=[1.0])
 
@@ -266,7 +260,7 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
         lift = np.zeros((len(full), nt))
         lift[full.index_rows(exps)], basis = L, full
     info = RelaxationInfo(level=level, m=X.size, n=Y.size, nvars=nt,
-                          block_labels=tuple(b.label for b in blocks),
+                          block_labels=tuple(labels),
                           basis=basis, lift=lift,
                           symmetries=len(gx) * len(gy))
     return problem, info
@@ -292,10 +286,11 @@ class GwBound:
 
 
 # Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
-# level-1 relaxation has 0.12 MB of them, and its assembled problem, lift
-# and IPM temporaries take about three times that again, so a chunk adds
-# about 2 MB to peak RSS however many pairs there are, while its lockstep
-# batches still share each kernel call among several problems.
+# level-1 relaxation has 0.12 MB of them; its assembled problem, lift and
+# IPM temporaries take about 2.7 times that again (tracemalloc peak of a
+# chunk of five trials), so a chunk adds about 2 MB to peak RSS however
+# many pairs there are, while its lockstep batches still share each
+# kernel call among several problems.
 _CHUNK_BYTES = 1 << 19
 
 

@@ -99,7 +99,11 @@ def ground_mixture(components, probs) -> GroundDistribution:
 def sample_empirical(dist: GroundDistribution, n: int,
                      seed: int) -> MetricMeasureSpace:
     """n i.i.d. draws with weights 1/n; deterministic per seed."""
-    return _empirical_space(dist, dist.sample_indices(n, seed))
+    idx = dist.sample_indices(n, seed)
+    return MetricMeasureSpace(labels=[f"s{k}" for k in range(n)],
+                              dist=dist.space.dist[np.ix_(idx, idx)],
+                              weights=np.full(n, 1.0 / n),
+                              name=f"{dist.space.name}^n={n}")
 
 
 def empirical_weights(dist: GroundDistribution, n: int,
@@ -108,13 +112,14 @@ def empirical_weights(dist: GroundDistribution, n: int,
     return _atom_weights(dist, dist.sample_indices(n, seed))
 
 
-def _empirical_space(dist, idx):
-    """The drawn atoms idx as a space, each with weight 1/len(idx)."""
-    n = len(idx)
-    return MetricMeasureSpace(labels=[f"s{k}" for k in range(n)],
-                              dist=dist.space.dist[np.ix_(idx, idx)],
-                              weights=np.full(n, 1.0 / n),
-                              name=f"{dist.space.name}^n={n}")
+def _trial_space(dist, idx):
+    """Drawn atoms by first draw, weighted by count; coincident ones merge."""
+    atoms = idx[np.sort(np.unique(idx, return_index=True)[1])]
+    return merge_coincident_points(MetricMeasureSpace(
+        labels=np.asarray(dist.space.labels)[atoms],
+        dist=dist.space.dist[np.ix_(atoms, atoms)],
+        weights=_atom_weights(dist, idx)[atoms],
+        name=f"{dist.space.name}^n={len(idx)}"))
 
 
 def _atom_weights(dist, idx):
@@ -254,8 +259,8 @@ def consistency_experiment(config: dict) -> RateReport:
     draws = [ground.sample_indices(n, seed + t)
              for n in sizes for t in range(trials)]
     results = gw_lower_bounds(
-        ((ground.space, merge_coincident_points(_empirical_space(ground, idx)))
-         for idx in draws), p=p, q=q, level=level)
+        ((ground.space, _trial_space(ground, idx)) for idx in draws),
+        p=p, q=q, level=level)
     values = np.full(len(draws), np.nan)
     tbounds = np.full(len(draws), np.nan)
     failures = 0

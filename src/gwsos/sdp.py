@@ -4,17 +4,21 @@ Problems are stated over a moment-style variable vector y:
 
     minimize    c' y
     subject to  y in {offset + basis @ w}
-                S_b(y) = C_b + sum_t vals_t y[var_t] E(rows_t, cols_t)  psd
+                S(y) = C + sum_t vals_t y[var_t] E(cells_t)  psd
 
-The caller states the affine set as ``free = (offset, basis)``.  The
-iterates are y = offset + N z, with N an orthonormal basis of the range
-of ``basis`` from one thin QR, so the affine constraints hold to machine
-precision at every iterate, no equality matrix is factored, and the
-method starts at z = 0, the caller's offset.  ``eq_lhs``/``eq_rhs`` may
-record equalities with the same solutions; the solver does not read
-them.  The triplets of the blocks of one size d form one sparse
-(k*d*d) x nvars matrix, so the data of each size in z comes from one
-sparse product; one-dimensional blocks form a nonnegativity cone.
+The PSD constraints come in SDPA's block-diagonal form (Fujisawa,
+Kojima & Nakata, Math. Prog. 1997): one :class:`PsdBlock` record per
+block size d holds the k blocks of that size, and no size has two
+records.  The caller states the affine set as
+``free = (offset, basis)``.  The iterates are y = offset + N z, with N
+an orthonormal basis of the range of ``basis`` from one thin QR, so the
+affine constraints hold to machine precision at every iterate, no
+equality matrix is factored, and the method starts at z = 0, the
+caller's offset.  ``eq_lhs``/``eq_rhs`` may record equalities with the
+same solutions; the solver does not read them.  The triplets of a record
+form one sparse (k*d*d) x nvars matrix, so the data of each size in z
+comes from one sparse product; one-dimensional blocks form a
+nonnegativity cone.
 
 The method is an infeasible-start primal-dual interior point method with
 Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
@@ -28,9 +32,9 @@ factors every S and X block once by Cholesky; the factors and their
 inverses serve the scaling, S^-1 and every step length.  The Schur
 complement is factored as it is, with a small ridge only when its
 Cholesky factorization fails, and each direction is one solve with it.
-The PSD blocks are stacked by size into dense (k, d, d) arrays, and
-every kernel of an iteration runs once per stack as a batched call, not
-once per block.  Results are deterministic for a fixed input.
+Each record becomes a dense (k, d, d) stack, and every kernel of an
+iteration runs once per stack as a batched call, not once per block.
+Results are deterministic for a fixed input.
 
 :func:`solve_many` adds a leading batch axis.  Problems of one shape --
 the same free dimension nz, the same (k, d) for each stack and the same
@@ -69,26 +73,30 @@ _GROUP_BYTES = 1 << 18  # coefficients per congruence call in _schur
 
 @dataclasses.dataclass
 class PsdBlock:
-    """One PSD constraint in sparse triplet form.
+    """The k PSD constraints of one size d in sparse triplet form.
 
-    The triplets must describe a symmetric matrix: off-diagonal
+    ``const`` is the (k, d, d) stack of constant terms.  Triplet t adds
+    vals[t] * y[var_idx[t]] at cell cells[t] of the stacked (k*d*d)
+    array, so block i, entry (r, c) is cell (i*d + r)*d + c.  The
+    triplets must describe symmetric matrices: off-diagonal
     contributions appear once for each of the two mirror positions.
     """
 
-    dim: int
     const: np.ndarray
     var_idx: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    cells: np.ndarray
     vals: np.ndarray
-    label: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.const.shape[-1]
 
 
 @dataclasses.dataclass
 class SdpProblem:
     nvars: int
     objective: np.ndarray
-    blocks: list
+    blocks: list  # PsdBlock records, one per block size
     # (offset (nvars,), basis (nvars, nfree)): the feasible y are
     # {offset + basis @ w}
     free: tuple
@@ -102,6 +110,9 @@ class SdpProblem:
         self.eq_lhs = np.asarray(self.eq_lhs, dtype=float).reshape(
             -1, self.nvars)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
+        dims = [blk.dim for blk in self.blocks]
+        if len(set(dims)) < len(dims):
+            raise ValueError(f"PSD records of sizes {dims}: one per size")
 
 
 @dataclasses.dataclass
@@ -123,15 +134,8 @@ def dump_problem(problem: SdpProblem, path) -> None:
             "offset": problem.free[0].tolist(),
             "basis": problem.free[1].tolist(),
         },
-        "blocks": [{
-            "dim": blk.dim,
-            "const": np.asarray(blk.const).tolist(),
-            "var_idx": np.asarray(blk.var_idx).tolist(),
-            "rows": np.asarray(blk.rows).tolist(),
-            "cols": np.asarray(blk.cols).tolist(),
-            "vals": np.asarray(blk.vals).tolist(),
-            "label": blk.label,
-        } for blk in problem.blocks],
+        "blocks": [{key: a.tolist() for key, a in vars(blk).items()}
+                   for blk in problem.blocks],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -140,13 +144,10 @@ def dump_problem(problem: SdpProblem, path) -> None:
 def load_problem(path) -> SdpProblem:
     with open(path) as fh:
         doc = json.load(fh)
-    blocks = [PsdBlock(dim=b["dim"],
-                       const=np.asarray(b["const"], dtype=float),
+    blocks = [PsdBlock(const=np.asarray(b["const"], dtype=float),
                        var_idx=np.asarray(b["var_idx"], dtype=np.int64),
-                       rows=np.asarray(b["rows"], dtype=np.int64),
-                       cols=np.asarray(b["cols"], dtype=np.int64),
-                       vals=np.asarray(b["vals"], dtype=float),
-                       label=b.get("label", ""))
+                       cells=np.asarray(b["cells"], dtype=np.int64),
+                       vals=np.asarray(b["vals"], dtype=float))
               for b in doc["blocks"]]
     free = doc.get("free")
     if free is None:
@@ -290,29 +291,21 @@ def _cho_solve(L, rhs):
 def _stack_blocks(blocks, y_p, N):
     """Cone data in z for y = y_p + N z: a nonnegativity cone and stacks.
 
-    The triplets of the k blocks of one size d form one sparse
+    The triplets of a record of k blocks of size d form one sparse
     (k*d*d) x nvars matrix A, so the constants are const + A y_p and the
     coefficients A N.  Each block is divided by its largest entry when
     that exceeds 1.  Size 1 gives the LP data (k,) and (k, nz); the other
-    sizes give stacks in order of first appearance, problem order within
-    a stack: constants (k, d, d) and coefficients (nz, k, d, d).
+    sizes give stacks in record order: constants (k, d, d) and
+    coefficients (nz, k, d, d).
     """
     nz = N.shape[1]
-    by_dim = {}
-    for blk in blocks:
-        by_dim.setdefault(blk.dim, []).append(blk)
     lp_g0, lp_G = np.zeros(0), np.zeros((0, nz))
     G0s, Gs = [], []
-    for d, group in by_dim.items():
-        k = len(group)
-        which = np.repeat(np.arange(k), [len(b.var_idx) for b in group])
-        cells = ((which * d + np.concatenate([b.rows for b in group])) * d +
-                 np.concatenate([b.cols for b in group]))
-        A = sparse.csr_array(
-            (np.concatenate([b.vals for b in group]),
-             (cells, np.concatenate([b.var_idx for b in group]))),
-            shape=(k * d * d, len(y_p)))
-        G0 = np.stack([b.const for b in group]) + (A @ y_p).reshape(k, d, d)
+    for blk in blocks:
+        k, d, _ = blk.const.shape
+        A = sparse.csr_array((blk.vals, (blk.cells, blk.var_idx)),
+                             shape=(k * d * d, len(y_p)))
+        G0 = blk.const + (A @ y_p).reshape(k, d, d)
         G = (A @ N).reshape(k, d * d, nz)
         scale = 1.0 / np.maximum.reduce([
             np.ones(k), np.abs(G0).max(axis=(1, 2)),
@@ -330,12 +323,10 @@ def _stack_blocks(blocks, y_p, N):
 
 def _shape(problem):
     """(nz, (k, d) of each stack, LP count): what lockstep solving shares."""
-    counts = {}
-    for blk in problem.blocks:
-        counts[blk.dim] = counts.get(blk.dim, 0) + 1
+    shapes = [blk.const.shape[:2] for blk in problem.blocks]
     return (min(problem.free[1].shape),
-            tuple((k, d) for d, k in counts.items() if d > 1),
-            counts.get(1, 0))
+            tuple((k, d) for k, d in shapes if d > 1),
+            sum(k for k, d in shapes if d == 1))
 
 
 def dense_bytes(problem: SdpProblem) -> int:
@@ -346,7 +337,7 @@ def dense_bytes(problem: SdpProblem) -> int:
     other arrays are of the size of the blocks alone.
     """
     nz = _shape(problem)[0]
-    return 8 * nz * (nz + sum(blk.dim ** 2 for blk in problem.blocks))
+    return 8 * nz * (nz + sum(blk.const.size for blk in problem.blocks))
 
 
 def _solution(problem, N, z, status, iters, residuals):

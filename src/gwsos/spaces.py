@@ -11,6 +11,9 @@ import numpy as np
 TRIANGLE_TOL = 1e-9
 DIAMETER_TOL = 1e-9
 MAX_ISOMETRY_NODES = 1024  # partial assignments one isometry search visits
+# Triangles per slab of the triangle check: its two float temporaries take
+# 16 MB at any n (16 GB at n = 1000 in one pass); n <= 101 takes one slab.
+_TRIANGLE_SLAB = 1 << 20
 
 _KNOWN_FIELDS = {"labels", "dist", "weights", "name"}
 
@@ -82,11 +85,15 @@ def validate_space(space: MetricMeasureSpace) -> None:
     if bad_diag.size:
         i = int(bad_diag[0][0])
         raise ValidationError(f"nonzero diagonal at ({i}, {i}): {d[i, i]}")
-    # triangle inequality: d[i,k] <= d[i,j] + d[j,k] for all i, j, k
-    slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
-    viol = np.argwhere(slack > TRIANGLE_TOL)
-    if viol.size:
-        i, j, k = viol[0]
+    # triangle inequality d[i,k] <= d[i,j] + d[j,k], in slabs of rows i
+    step = max(1, _TRIANGLE_SLAB // (n * n))
+    for lo in range(0, n, step):
+        rows = d[lo:lo + step]
+        viol = np.argwhere(rows[:, None, :] - (rows[:, :, None] + d) >
+                           TRIANGLE_TOL)
+        if not viol.size:
+            continue
+        i, j, k = viol[0] + (lo, 0, 0)
         raise ValidationError(
             f"triangle inequality violated for (i={i}, j={j}, k={k}): "
             f"d[{i},{k}]={d[i, k]} > d[{i},{j}] + d[{j},{k}]="

@@ -201,9 +201,8 @@ def test_criterion_10_sampling_consistency_trend():
 
 
 def test_criterion_11_sdp_solver_unit():
-    blk = sdp.PsdBlock(dim=2, const=np.eye(2),
-                       var_idx=np.array([0, 0]),
-                       rows=np.array([0, 1]), cols=np.array([1, 0]),
+    blk = sdp.PsdBlock(const=np.eye(2)[None],
+                       var_idx=np.array([0, 0]), cells=np.array([1, 2]),
                        vals=np.array([1.0, 1.0]))
     prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
                           free=([0.0], np.eye(1)), blocks=[blk])

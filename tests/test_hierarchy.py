@@ -39,6 +39,19 @@ class TestAssembly:
             assert len(locs) == sum(math.comb(m * n, 2 * h)
                                     for h in range(1, level + 1))
 
+    def test_one_record_per_block_size(self, rng):
+        # one record per h, holding a block per label; at 2x2 level 3 no
+        # subset of 6 of the 4 entries exists, so h = 3 gets no record
+        for m, n, level, sizes in [(2, 2, 1, [2, 1]),
+                                   (2, 3, 2, [6, 3, 1]),
+                                   (3, 3, 2, [15, 5, 1]),
+                                   (2, 2, 3, [4, 3, 2])]:
+            prob, info = assemble_relaxation(random_space(rng, m),
+                                             random_space(rng, n), level=level)
+            assert [blk.dim for blk in prob.blocks] == sizes
+            assert sum(len(blk.const) for blk in prob.blocks) == \
+                len(info.block_labels)
+
     def test_objective_matches_cost_quadratic(self, rng):
         # the linear objective on the product coupling's t-moments equals
         # the quadratic distortion of that coupling
@@ -65,8 +78,9 @@ class TestAssembly:
             assert pi.min() > 0
             assert np.abs(prob.eq_lhs @ w - prob.eq_rhs).max() <= 1e-15
             for blk in prob.blocks:
-                lam = np.linalg.eigvalsh(block_matrix(blk, w))
-                assert lam[0] >= -1e-12 * max(1.0, lam[-1])
+                lam = np.linalg.eigvalsh(block_matrices(blk, w))
+                floor = -1e-12 * np.maximum(1.0, lam[:, -1])
+                assert (lam[:, 0] >= floor).all()
             cost = build_cost_tensor(X, Y, 1, 1)
             assert prob.objective @ w == pytest.approx(
                 evaluate_objective(cost, pi), rel=1e-12)
@@ -78,10 +92,10 @@ def parametrized_coupling(X, Y, t):
     return base + np.tensordot(t, B, axes=1)
 
 
-def block_matrix(blk, w):
-    """The matrix a block takes at the moment vector w."""
+def block_matrices(blk, w):
+    """The (k, d, d) stack a record's blocks take at the moment vector w."""
     M = np.array(blk.const, dtype=float)
-    np.add.at(M, (blk.rows, blk.cols), blk.vals * w[blk.var_idx])
+    np.add.at(M.reshape(-1), blk.cells, blk.vals * w[blk.var_idx])
     return M
 
 
@@ -335,7 +349,7 @@ class TestSymmetryReduction:
         # the 6 pairs of the 4 entries fall into 3 orbits under the
         # reflections: {01, 23}, {02, 13} and {03, 12}
         assert info.symmetries == 4
-        assert len(direct.blocks) == 7
+        assert sum(len(blk.const) for blk in direct.blocks) == 7
         assert info.block_labels == ("moment", "loc[0,1]", "loc[0,2]",
                                      "loc[0,3]")
 

@@ -11,13 +11,10 @@ from conftest import random_space
 
 def analytic_problem():
     """min -x subject to [[1, x], [x, 1]] psd; optimum x = 1, value -1."""
-    blk = sdp.PsdBlock(dim=2,
-                       const=np.eye(2),
+    blk = sdp.PsdBlock(const=np.eye(2)[None],
                        var_idx=np.array([0, 0]),
-                       rows=np.array([0, 1]),
-                       cols=np.array([1, 0]),
-                       vals=np.array([1.0, 1.0]),
-                       label="corr")
+                       cells=np.array([1, 2]),
+                       vals=np.array([1.0, 1.0]))
     return sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
                           free=([0.0], np.eye(1)), blocks=[blk])
 
@@ -31,11 +28,9 @@ class TestAnalyticInstances:
 
     def test_lp_via_one_by_one_blocks(self):
         # min x subject to x >= 2 (block [x - 2] psd) -> x = 2
-        blk = sdp.PsdBlock(dim=1,
-                           const=np.array([[-2.0]]),
+        blk = sdp.PsdBlock(const=np.array([[[-2.0]]]),
                            var_idx=np.array([0]),
-                           rows=np.array([0]),
-                           cols=np.array([0]),
+                           cells=np.array([0]),
                            vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
                               free=([0.0], np.eye(1)), blocks=[blk])
@@ -45,9 +40,9 @@ class TestAnalyticInstances:
 
     def test_equality_only_problem(self):
         # fully determined by equalities, no free directions left
-        blk = sdp.PsdBlock(dim=1, const=np.zeros((1, 1)),
-                           var_idx=np.array([0]), rows=np.array([0]),
-                           cols=np.array([0]), vals=np.array([1.0]))
+        blk = sdp.PsdBlock(const=np.zeros((1, 1, 1)),
+                           var_idx=np.array([0]), cells=np.array([0]),
+                           vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
                               free=([3.0], np.zeros((1, 0))), blocks=[blk])
         sol = sdp.solve(prob)
@@ -56,9 +51,9 @@ class TestAnalyticInstances:
 
     def test_unbounded_like_instance_does_not_claim_optimal(self):
         # min -x with x >= 0 only: dual infeasible, no optimum exists
-        blk = sdp.PsdBlock(dim=1, const=np.zeros((1, 1)),
-                           var_idx=np.array([0]), rows=np.array([0]),
-                           cols=np.array([0]), vals=np.array([1.0]))
+        blk = sdp.PsdBlock(const=np.zeros((1, 1, 1)),
+                           var_idx=np.array([0]), cells=np.array([0]),
+                           vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
                               free=([0.0], np.eye(1)), blocks=[blk])
         sol = sdp.solve(prob, max_iter=60)
@@ -67,9 +62,9 @@ class TestAnalyticInstances:
 
 def lp_problem(objective, const, free):
     """One LP row, const + y_0 >= 0, over nvars = len(objective)."""
-    blk = sdp.PsdBlock(dim=1, const=np.array([[const]]),
-                       var_idx=np.array([0]), rows=np.array([0]),
-                       cols=np.array([0]), vals=np.array([1.0]))
+    blk = sdp.PsdBlock(const=np.array([[[const]]]),
+                       var_idx=np.array([0]), cells=np.array([0]),
+                       vals=np.array([1.0]))
     return sdp.SdpProblem(nvars=len(objective), objective=objective,
                           free=free, blocks=[blk])
 
@@ -143,30 +138,39 @@ def _random_pd_stack(rng, k, d):
 
 class TestStacks:
     def test_stacked_data_matches_each_block(self, rng):
-        # block by block, each entry is const + sum of vals * y[var_idx],
-        # at y_p and along each column of N, over the block's scale
+        # block by block, each entry is const + sum of vals * y[var_idx]
+        # over the triplets of its cell, at y_p and along each column of
+        # N, over the block's scale
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
         y_p = prob.free[0]
         N = np.linalg.qr(prob.free[1])[0]
         lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(prob.blocks, y_p, N)
-        got = {1: iter(zip(lp_g0[:, None, None], lp_G[:, None, None, :]))}
+        got = {1: (lp_g0[:, None, None], lp_G[:, None, None, :])}
         for G0, G in zip(G0s, Gs):
-            got[G0.shape[1]] = iter(zip(G0, G.transpose(1, 2, 3, 0)))
-
-        def dense(blk, y):
-            M = np.array(blk.const, dtype=float)
-            np.add.at(M, (blk.rows, blk.cols), blk.vals * y[blk.var_idx])
-            return M
-
+            got[G0.shape[1]] = (G0, G.transpose(1, 2, 3, 0))
+        Y = np.column_stack([y_p, N])
         for blk in prob.blocks:
-            g0 = dense(blk, y_p)
-            g = np.stack([dense(blk, col) - blk.const for col in N.T],
-                         axis=-1)
-            scale = max(1.0, np.abs(g0).max(), np.abs(g).max())
-            have0, have = next(got[blk.dim])
-            assert np.allclose(have0, g0 / scale, rtol=0, atol=1e-15)
-            assert np.allclose(have, g / scale, rtol=0, atol=1e-15)
+            k, d, _ = blk.const.shape
+            have0, have = got[d]
+            assert len(have0) == len(have) == k
+            which, cell = np.divmod(blk.cells, d * d)
+            for i in range(k):
+                mine = which == i
+                M = np.zeros((d * d, Y.shape[1]))
+                np.add.at(M, cell[mine],
+                          blk.vals[mine, None] * Y[blk.var_idx[mine]])
+                g0 = blk.const[i] + M[:, 0].reshape(d, d)
+                g = M[:, 1:].reshape(d, d, -1)
+                scale = max(1.0, np.abs(g0).max(), np.abs(g).max())
+                assert np.allclose(have0[i], g0 / scale, rtol=0, atol=1e-15)
+                assert np.allclose(have[i], g / scale, rtol=0, atol=1e-15)
+
+    def test_two_records_of_one_size_refused(self):
+        blk = analytic_problem().blocks[0]
+        with pytest.raises(ValueError, match="one per size"):
+            sdp.SdpProblem(nvars=1, objective=[-1.0],
+                           free=([0.0], np.eye(1)), blocks=[blk, blk])
 
     def test_max_step_is_least_generalized_eigenvalue(self, rng):
         M = _random_pd_stack(rng, 6, 4)
@@ -180,34 +184,42 @@ class TestStacks:
         assert sdp._max_step(Li, 0.0 * dM) == 1.0
 
     def test_block_order_does_not_change_optimum(self, rng):
-        # an elliptope block bounds y; the others are I + sum y_t A_t
+        # an elliptope block bounds y; the others are I + sum y_t A_t.
+        # Each block is (d, var_idx, cells, vals).
         nvars = 3
-        blocks = [sdp.PsdBlock(dim=3, const=np.eye(3),
-                               var_idx=np.array([0, 0, 1, 1, 2, 2]),
-                               rows=np.array([0, 1, 0, 2, 1, 2]),
-                               cols=np.array([1, 0, 2, 0, 2, 1]),
-                               vals=np.ones(6))]
+        blocks = [(3, np.array([0, 0, 1, 1, 2, 2]),
+                   np.array([1, 3, 2, 6, 5, 7]), np.ones(6))]
         for d in (1, 2, 3, 2):
-            rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
             coef = _sym(rng.normal(size=(nvars, d, d)))
-            blocks.append(sdp.PsdBlock(
-                dim=d, const=np.eye(d),
-                var_idx=np.repeat(np.arange(nvars), d * d),
-                rows=np.tile(rr.ravel(), nvars),
-                cols=np.tile(cc.ravel(), nvars), vals=coef.ravel()))
+            blocks.append((d, np.repeat(np.arange(nvars), d * d),
+                           np.tile(np.arange(d * d), nvars), coef.ravel()))
         c = rng.normal(size=nvars)
 
         def solve(order):
+            """Records in order of first appearance, blocks in order."""
+            by_size = {}
+            for i in order:
+                by_size.setdefault(blocks[i][0], []).append(blocks[i][1:])
             return sdp.solve(sdp.SdpProblem(
                 nvars=nvars, objective=c,
                 free=(np.zeros(nvars), np.eye(nvars)),
-                blocks=[blocks[i] for i in order]))
+                blocks=[_record(d, group) for d, group in by_size.items()]))
 
-        assert [blocks[i].dim for i in range(5)] == [3, 1, 2, 3, 2]
+        assert [blocks[i][0] for i in range(5)] == [3, 1, 2, 3, 2]
         a, b = solve([0, 1, 2, 3, 4]), solve([4, 3, 1, 2, 0])
         assert a.status == b.status == "optimal"
         assert a.objective_value == pytest.approx(b.objective_value,
                                                   abs=1e-8)
+
+
+def _record(d, blocks):
+    """The record of the blocks I + sum_t vals_t y[var_t] E(cells_t)."""
+    return sdp.PsdBlock(
+        const=np.broadcast_to(np.eye(d), (len(blocks), d, d)).copy(),
+        var_idx=np.concatenate([var for var, _, _ in blocks]),
+        cells=np.concatenate([i * d * d + cells
+                              for i, (_, cells, _) in enumerate(blocks)]),
+        vals=np.concatenate([vals for _, _, vals in blocks]))
 
 
 def _sym(M):
@@ -225,13 +237,28 @@ class TestSerialization:
         assert len(again.blocks) == 1
         blk0, blk1 = prob.blocks[0], again.blocks[0]
         assert blk1.dim == blk0.dim
-        assert np.array_equal(np.asarray(blk1.const),
-                              np.asarray(blk0.const))
-        assert blk1.label == blk0.label
+        for name in ("const", "var_idx", "cells", "vals"):
+            assert np.array_equal(getattr(blk1, name), getattr(blk0, name))
         # solving the reloaded problem gives the same answer
         s0, s1 = sdp.solve(prob), sdp.solve(again)
         assert s1.objective_value == pytest.approx(s0.objective_value,
                                                    abs=1e-12)
+
+    def test_assembled_records_roundtrip(self, tmp_path, rng):
+        prob, _ = assemble_relaxation(random_space(rng, 2),
+                                      random_space(rng, 3), level=2)
+        path = tmp_path / "prob.json"
+        sdp.dump_problem(prob, path)
+        again = sdp.load_problem(path)
+        assert [blk.dim for blk in again.blocks] == [6, 3, 1]
+        for blk1, blk0 in zip(again.blocks, prob.blocks):
+            for name in ("const", "var_idx", "cells", "vals"):
+                assert np.array_equal(getattr(blk1, name),
+                                      getattr(blk0, name))
+        s0, s1 = sdp.solve(prob), sdp.solve(again)
+        assert s0.status == s1.status == "optimal"
+        assert s1.iterations == s0.iterations
+        assert np.array_equal(s1.y, s0.y)
 
     def test_free_roundtrips(self, tmp_path, rng):
         prob, _ = assemble_relaxation(random_space(rng, 2),

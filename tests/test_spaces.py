@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,29 @@ class TestValidation:
         d = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
         with pytest.raises(ValidationError, match="triangle"):
             make(d, [1 / 3] * 3)
+
+    def test_first_triangle_violation_reported_past_first_slab(self):
+        # stretching one distance breaks only the triangles with it as
+        # the long side; the first in (i, j, k) order has i = 250, j = 0
+        n = 300
+        pts = np.linspace(0.0, 1.0, n)
+        d = np.abs(pts[:, None] - pts[None, :])
+        d[250, 260] = d[260, 250] = 5.0
+        with pytest.raises(ValidationError, match=r"\(i=250, j=0, k=260\)"):
+            make(d, np.full(n, 1.0 / n))
+
+    def test_triangle_check_memory_is_bounded(self):
+        # all 300**3 triangles at once take two 216 MB temporaries
+        n = 300
+        pts = np.linspace(0.0, 1.0, n)
+        d = np.abs(pts[:, None] - pts[None, :])
+        tracemalloc.start()
+        try:
+            make(d, np.full(n, 1.0 / n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError, match="negative weight"):
