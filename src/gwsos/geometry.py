@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .hierarchy import TensorMeasure, gw_lower_bounds
-from .spaces import MetricMeasureSpace, lipschitz_constant
+from .spaces import MetricMeasureSpace, lipschitz_constant, restrict_space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,12 +95,8 @@ def concentrate_space(space: MetricMeasureSpace,
     weights = np.array([space.weights[list(cell)].sum()
                         for cell in partition.cells])
     weights = weights / weights.sum()
-    return MetricMeasureSpace(
-        labels=[space.labels[i] for i in reps],
-        dist=space.dist[np.ix_(reps, reps)],
-        weights=weights,
-        name=f"{space.name}|{len(reps)}" if space.name else "",
-        scale=space.scale)
+    return restrict_space(space, reps, weights,
+                          f"{space.name}|{len(reps)}" if space.name else "")
 
 
 def _aggregation_matrix(part_x: CellPartition, part_y: CellPartition,

@@ -49,7 +49,7 @@ from . import moments as mom
 from . import sdp
 from .oracle import _affine_parametrization
 from .spaces import (MetricMeasureSpace, ValidationError, build_cost_tensor,
-                     isometries)
+                     isometries, restrict_space)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,17 +84,19 @@ def _substitution_map(basis, mu, nu):
     B = B.reshape(k, basis.nvars)
     tbasis = mom.get_basis(k, basis.maxdeg)
     low = tbasis.exponents[tbasis.degrees < basis.maxdeg].astype(np.int64)
-    shifts = np.stack([tbasis.index_rows(low + e)
-                       for e in np.eye(k, dtype=np.int64)])
-    exps = basis.exponents.astype(np.int64)
+    shifts = tbasis.index_rows(
+        low + np.eye(k, dtype=np.int64)[:, None]).reshape(k, len(low))
+    # monomial g past the constant: its first variable and g - e_v
+    exps = basis.exponents[1:].astype(np.int64)
     first = np.argmax(exps > 0, axis=1)
     exps[np.arange(len(exps)), first] -= 1
+    parent = basis.index_rows(exps)
     L = np.zeros((len(basis), len(tbasis)))
     L[0, 0] = 1.0
     for d in range(1, basis.maxdeg + 1):
         rows = np.flatnonzero(basis.degrees == d)
-        v = first[rows]
-        prev = L[basis.index_rows(exps[rows])]
+        v = first[rows - 1]
+        prev = L[parent[rows - 1]]
         new = b0[v, None] * prev
         r, u = np.nonzero(B[:, v].T)
         width = mom.basis_size(k, d - 1)  # prev has degree d - 1
@@ -109,10 +111,8 @@ def _support(space):
     keep = space.weights > 0
     if keep.all():
         return space, keep
-    return MetricMeasureSpace(labels=np.asarray(space.labels)[keep],
-                              dist=space.dist[np.ix_(keep, keep)],
-                              weights=space.weights[keep], name=space.name,
-                              scale=space.scale), keep
+    return restrict_space(space, np.flatnonzero(keep), space.weights[keep],
+                          space.name), keep
 
 
 def _entry_permutations(gx, gy):
@@ -238,12 +238,13 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     blocks, labels, free = [], [], (np.ones(1), np.zeros((1, 0)))
     if k:
         tbasis = mom.get_basis(k, 2 * level)
-        grid = np.arange(nvars).reshape(Xs.size, Ys.size)
-        t_exps = np.zeros((nt, nvars), dtype=np.int64)
-        t_exps[:, grid[:-1, :-1].ravel()] = tbasis.exponents
         t0 = np.outer(Xs.weights, Ys.weights)[:-1, :-1].ravel()
-        orbit, free_basis = None, np.eye(nt)[:, 1:]
+        # without isometries the free set is the coordinates w[1:]
+        orbit, free_basis = None, np.arange(1, nt)
         if perms:
+            grid = np.arange(nvars).reshape(Xs.size, Ys.size)
+            t_exps = np.zeros((nt, nvars), dtype=np.int64)
+            t_exps[:, grid[:-1, :-1].ravel()] = tbasis.exponents
             orbit, free_basis = reduce_by_symmetry(
                 basis, L, basis.index_rows(t_exps), perms)
         free = (mom.point_moments(tbasis, t0), free_basis)

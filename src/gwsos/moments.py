@@ -22,15 +22,25 @@ def basis_size(nvars: int, maxdeg: int) -> int:
     return math.comb(nvars + maxdeg, maxdeg)
 
 
-def _compositions_desc(total, parts):
-    # all length-`parts` tuples of nonnegative ints summing to `total`,
-    # first coordinate descending, which yields lex order within a degree
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
+def _graded_exponents(nvars, maxdeg):
+    """Exponent rows of all monomials up to ``maxdeg`` in graded lex order.
+
+    A monomial of degree d is a sorted d-tuple of variables, and sorted
+    tuples in lex order are the exponent rows in descending lex order.
+    Each degree is the one below with every tuple, in order, extended by
+    each variable from its last one on; the empty tuple's last is 0.
+    """
+    rows = [np.zeros((1, nvars), dtype=np.uint8)]
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(maxdeg):
+        count = nvars - last
+        parent = np.repeat(np.arange(len(last)), count)
+        first = np.cumsum(count) - count
+        last = last[parent] + np.arange(len(parent)) - first[parent]
+        new = rows[-1][parent]
+        new[np.arange(len(new)), last] += 1
+        rows.append(new)
+    return np.concatenate(rows)
 
 
 class MonomialBasis:
@@ -43,8 +53,9 @@ class MonomialBasis:
     def __init__(self, nvars: int, maxdeg: int):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        if maxdeg < 0:
-            raise ValueError("maximum degree must be nonnegative")
+        if not 0 <= maxdeg <= 255:
+            raise ValueError("maximum degree must lie in [0, 255]: exponents "
+                             "are stored as uint8")
         size = basis_size(nvars, maxdeg)
         if size > MAX_BASIS_SIZE:
             raise ValueError(
@@ -52,24 +63,37 @@ class MonomialBasis:
                 f"{MAX_BASIS_SIZE}; reduce the instance or the level")
         self.nvars = nvars
         self.maxdeg = maxdeg
-        rows = []
-        for d in range(maxdeg + 1):
-            rows.extend(_compositions_desc(d, nvars))
-        self.exponents = np.array(rows, dtype=np.uint8)
+        self.exponents = _graded_exponents(nvars, maxdeg)
         self.exponents.setflags(write=False)
-        self.degrees = self.exponents.sum(axis=1).astype(np.int64)
-        self._lookup = {row.tobytes(): i
-                        for i, row in enumerate(self.exponents)}
+        self.degrees = self.exponents.sum(axis=1, dtype=np.int64)
+        # _rank_table[c, s]: monomials of degree < s in the nvars - c
+        # variables from c on, flattened; see index_rows
+        self._rank_table = np.array(
+            [basis_size(nvars - c, s - 1) if s else 0
+             for c in range(nvars) for s in range(maxdeg + 1)],
+            dtype=np.int64)
+        self._rank_offsets = np.arange(nvars) * (maxdeg + 1)
 
     def __len__(self) -> int:
         return len(self.exponents)
 
     def index_rows(self, exponents: np.ndarray) -> np.ndarray:
-        """Vectorized index lookup for an (k, nvars) array of exponents."""
-        exps = np.ascontiguousarray(exponents, dtype=np.uint8)
-        lookup = self._lookup
-        return np.fromiter((lookup[row.tobytes()] for row in exps),
-                           dtype=np.int64, count=len(exps))
+        """Positions of the exponent rows of an (..., nvars) array.
+
+        The rank of a row a in the combinatorial number system: with s_c
+        the degree of a from variable c on, the monomials of degree < s_0
+        come first, and for each c >= 1 those of degree s_0 that agree
+        with a before c - 1 and exceed it at c - 1 come before a, which
+        are as many as the monomials of degree < s_c in the variables
+        from c on.  A row outside the basis raises KeyError.
+        """
+        exps = np.asarray(exponents, dtype=np.int64).reshape(-1, self.nvars)
+        suffix = exps[:, ::-1].cumsum(axis=1)[:, ::-1]
+        if len(exps) and (exps.min() < 0 or suffix[:, 0].max() > self.maxdeg):
+            bad = (exps < 0).any(axis=1) | (suffix[:, 0] > self.maxdeg)
+            raise KeyError(f"monomial {exps[np.argmax(bad)].tolist()} is not "
+                           f"in the basis of degree <= {self.maxdeg}")
+        return self._rank_table[self._rank_offsets + suffix].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)

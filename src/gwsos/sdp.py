@@ -9,16 +9,21 @@ Problems are stated over a moment-style variable vector y:
 The PSD constraints come in SDPA's block-diagonal form (Fujisawa,
 Kojima & Nakata, Math. Prog. 1997): one :class:`PsdBlock` record per
 block size d holds the k blocks of that size, and no size has two
-records.  The caller states the affine set as
-``free = (offset, basis)``.  The iterates are y = offset + N z, with N
-an orthonormal basis of the range of ``basis`` from one thin QR, so the
+records.  The caller states the affine set as ``free = (offset,
+basis)``, in one of two forms: a 1-D integer ``basis`` names the free
+coordinates, the others staying at the offset, and a dense (nvars,
+nfree) ``basis`` spans the free directions.  The iterates are
+y = offset + N z, with N the coordinate columns themselves or an
+orthonormal basis of the dense basis's range from one thin QR, so the
 affine constraints hold to machine precision at every iterate, no
 equality matrix is factored, and the method starts at z = 0, the
 caller's offset.  ``eq_lhs``/``eq_rhs`` may record equalities with the
 same solutions; the solver does not read them.  The triplets of a record
-form one sparse (k*d*d) x nvars matrix, so the data of each size in z
-comes from one sparse product; one-dimensional blocks form a
-nonnegativity cone.
+form one sparse (k*d*d) x nvars matrix A, and the data of each size in z
+are const + A offset and A N, built with numpy alone: for coordinates,
+A N is the columns of A, one bincount over (coordinate, cell); for a
+dense basis, each cell sums the rows of N its triplets name.
+One-dimensional blocks form a nonnegativity cone.
 
 The method is an infeasible-start primal-dual interior point method with
 Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
@@ -31,7 +36,10 @@ is below ``GAP_TOL``, or after ``max_iter`` iterations.  Each iteration
 factors every S and X block once by Cholesky; the factors and their
 inverses serve the scaling, S^-1 and every step length.  The Schur
 complement is factored as it is, with a small ridge only when its
-Cholesky factorization fails, and each direction is one solve with it.
+Cholesky factorization fails, and each direction is one solve with it:
+forward and back substitution by diagonal blocks of at most 64 rows,
+whose inverses are taken once per iteration, so that each step is one
+batched product for the whole batch of problems.
 Each record becomes a dense (k, d, d) stack, and every kernel of an
 iteration runs once per stack as a batched call, not once per block.
 Results are deterministic for a fixed input.
@@ -61,7 +69,6 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy import linalg, sparse
 
 FEAS_TOL = 1e-7  # primal and dual residuals at the stop
 GAP_TOL = 1e-7   # gap relative to the objective at the stop
@@ -69,6 +76,17 @@ DEFAULT_MAX_ITER = 200
 
 _STEP_FRACTION = 0.98
 _GROUP_BYTES = 1 << 18  # coefficients per congruence call in _schur
+_SOLVE_BLOCK = 64  # rows per diagonal block of the Schur factor's solve
+
+# glibc serves allocations above its mmap threshold (128 KB at start) with
+# fresh pages, and gives the heap's free top back to the system once it
+# passes twice that threshold; freeing an mmap'd block raises both to its
+# size.  Every IPM iteration allocates temporaries of a few hundred KB, so
+# one 2 MB block freed here keeps them on the heap instead of faulting in
+# new pages each iteration: a small_batch pass of perfbench took about
+# 14,000 minor page faults without it and under 10 with it (importing
+# scipy used to do the same as a side effect).  Other allocators ignore it.
+np.empty(1 << 18)
 
 
 @dataclasses.dataclass
@@ -97,8 +115,9 @@ class SdpProblem:
     nvars: int
     objective: np.ndarray
     blocks: list  # PsdBlock records, one per block size
-    # (offset (nvars,), basis (nvars, nfree)): the feasible y are
-    # {offset + basis @ w}
+    # (offset (nvars,), basis): the feasible y are {offset + basis @ w}
+    # for a (nvars, nfree) basis, and for a 1-D integer basis, the free
+    # coordinates, {y : y = offset off those coordinates}
     free: tuple
     # equalities with the same solution set, kept for dumps and counters
     eq_lhs: np.ndarray = ()  # (neq, nvars)
@@ -106,7 +125,17 @@ class SdpProblem:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.free = tuple(np.asarray(a, dtype=float) for a in self.free)
+        offset, basis = self.free
+        basis = np.asarray(basis)
+        if basis.ndim == 1:
+            if basis.size and (basis.dtype.kind not in "iu" or
+                               len(np.unique(basis)) < len(basis) or
+                               basis.min() < 0 or basis.max() >= self.nvars):
+                raise ValueError("free coordinates must be distinct "
+                                 f"integers in [0, {self.nvars})")
+            basis = basis.astype(np.int64)
+        self.free = (np.asarray(offset, dtype=float),
+                     basis if basis.ndim == 1 else basis.astype(float))
         self.eq_lhs = np.asarray(self.eq_lhs, dtype=float).reshape(
             -1, self.nvars)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
@@ -132,7 +161,8 @@ def dump_problem(problem: SdpProblem, path) -> None:
         "eq_rhs": problem.eq_rhs.tolist(),
         "free": {
             "offset": problem.free[0].tolist(),
-            "basis": problem.free[1].tolist(),
+            "coords" if problem.free[1].ndim == 1 else "basis":
+                problem.free[1].tolist(),
         },
         "blocks": [{key: a.tolist() for key, a in vars(blk).items()}
                    for blk in problem.blocks],
@@ -152,13 +182,15 @@ def load_problem(path) -> SdpProblem:
     free = doc.get("free")
     if free is None:
         raise ValueError(f"{path}: no 'free' key; the solver needs the "
-                         "affine set as free = {offset, basis}")
+                         "affine set as free = {offset, basis or coords}")
+    basis = (np.asarray(free["coords"], dtype=np.int64) if "coords" in free
+             else np.asarray(free["basis"], dtype=float))
     return SdpProblem(nvars=doc["nvars"],
                       objective=np.asarray(doc["objective"], dtype=float),
                       eq_lhs=np.asarray(doc["eq_lhs"], dtype=float),
                       eq_rhs=np.asarray(doc["eq_rhs"], dtype=float),
                       blocks=blocks,
-                      free=(free["offset"], free["basis"]))
+                      free=(free["offset"], basis))
 
 
 def _sym(A):
@@ -280,12 +312,126 @@ def _schur_factor(M):
     return L, bad
 
 
-def _cho_solve(L, rhs):
-    """Solve L[i] L[i]' x = rhs[i] for each problem i."""
-    x = np.empty_like(rhs)
-    for i, (Li, r) in enumerate(zip(L, rhs)):
-        x[i] = linalg.lapack.dpotrs(Li, r, lower=1)[0]
-    return x
+def _tri_inv(T):
+    """Inverse of each lower-triangular T[i] of 2^j rows.
+
+    By doubling: from the reciprocals of the diagonal, the inverses of
+    the diagonal blocks of s rows give those of 2s rows,
+    inv [[A, 0], [C, D]] = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], one batched
+    product per level for all blocks of all matrices.
+    """
+    K, m, _ = T.shape
+    X = np.zeros_like(T)
+    np.einsum("kii->ki", X)[...] = 1.0 / np.einsum("kii->ki", T)
+    s = 1
+    while s < m:
+        q = m // (2 * s)
+        # pair j of s-blocks on the diagonal: view [k, j, a, :, b, :]
+        Tp, Xp = (np.einsum("kjaxjby->kjaxby",
+                            A.reshape(K, q, 2, s, q, 2, s)) for A in (T, X))
+        Xp[:, :, 1, :, 0] = -(Xp[:, :, 1, :, 1] @ Tp[:, :, 1, :, 0]) @ \
+            Xp[:, :, 0, :, 0]
+        s *= 2
+    return X
+
+
+def _diag_inverses(L):
+    """Inverses of the diagonal blocks of each Schur factor L[i].
+
+    Up to 16 rows, L is one block, inverted by one batched call.  Beyond,
+    the blocks have b = 32 or _SOLVE_BLOCK rows (_tri_inv), so that up to
+    _SOLVE_BLOCK rows L is still one block, and an identity pads the last
+    one.  The result is (nb, B, b, b).
+    """
+    B, n, _ = L.shape
+    if n <= 16:
+        return np.linalg.inv(L)[None]
+    b = 32 if n <= 32 else _SOLVE_BLOCK
+    nb = -(-n // b)
+    T = np.zeros((nb, B, b, b))
+    for j in range(nb):
+        w = min(b, n - j * b)
+        T[j, :, :w, :w] = L[:, j * b:j * b + w, j * b:j * b + w]
+    pad = np.arange(n - (nb - 1) * b, b)
+    T[-1, :, pad, pad] = 1.0
+    return _tri_inv(T.reshape(nb * B, b, b)).reshape(nb, B, b, b)
+
+
+def _schur_solver(L):
+    """The solve of L[i] L[i]' x = rhs[i] for each problem i, as rhs -> x.
+
+    Forward and back substitution by the diagonal blocks of L, whose
+    inverses (_diag_inverses) are taken once: each step is one batched
+    product for all problems.  The inverse of L L' itself is never
+    formed; near the optimum its condition number reaches 1e16.
+    """
+    n = L.shape[1]
+    Linv = _diag_inverses(L)
+    b = Linv.shape[-1]
+    if len(Linv) == 1:
+        X = Linv[0, :, :n, :n]
+        return lambda rhs: np.vecmat(np.matvec(X, rhs), X)
+
+    def solve(rhs):
+        u = np.empty_like(rhs)
+        for j, D in enumerate(Linv):
+            lo, hi = j * b, min(n, (j + 1) * b)
+            r = rhs[:, lo:hi]
+            if lo:
+                r = r - np.matvec(L[:, lo:hi, :lo], u[:, :lo])
+            u[:, lo:hi] = np.matvec(D[:, :hi - lo, :hi - lo], r)
+        x = np.empty_like(rhs)
+        for j in reversed(range(len(Linv))):
+            lo, hi = j * b, min(n, (j + 1) * b)
+            r = u[:, lo:hi]
+            if hi < n:
+                r = r - np.vecmat(x[:, hi:], L[:, hi:, lo:hi])
+            x[:, lo:hi] = np.vecmat(r, Linv[j, :, :hi - lo, :hi - lo])
+        return x
+    return solve
+
+
+def _free_basis(problem):
+    """The free set as the IPM takes it: y = free[0] + N z.
+
+    Free coordinates stay as they are; a dense basis is orthonormalized
+    by one thin QR.
+    """
+    basis = problem.free[1]
+    return basis if basis.ndim == 1 else np.linalg.qr(basis)[0]
+
+
+def _coefficients(blk, N, nvars):
+    """A N as an (nz, k*d*d) array, A the record's sparse triplet matrix.
+
+    N is the free coordinates or the transpose (nz, nvars) of a dense
+    basis.  For coordinates, A N is the columns of A, so the triplets of
+    the other variables drop out; for a dense basis, each cell sums the
+    rows of N its triplets name, gathered as columns of the transpose.
+    """
+    size = blk.const.size
+    if N.ndim == 1:
+        nz = len(N)
+        col = np.full(nvars, -1)
+        col[N] = np.arange(nz)
+        j = col[blk.var_idx]
+        on = j >= 0
+        G = np.bincount(j[on] * size + blk.cells[on], weights=blk.vals[on],
+                        minlength=nz * size)
+        # an empty bincount is an integer array
+        return G.astype(float, copy=False).reshape(nz, size)
+    order = np.argsort(blk.cells, kind="stable")
+    cells = blk.cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    P = N.take(blk.var_idx[order], axis=1)
+    P *= blk.vals[order]
+    if len(starts) < len(cells):
+        P = np.add.reduceat(P, starts, axis=1)
+    if len(starts) == size:  # every cell has a triplet
+        return P
+    G = np.zeros((len(N), size))
+    G[:, cells[starts]] = P
+    return G
 
 
 def _stack_blocks(blocks, y_p, N):
@@ -293,31 +439,31 @@ def _stack_blocks(blocks, y_p, N):
 
     The triplets of a record of k blocks of size d form one sparse
     (k*d*d) x nvars matrix A, so the constants are const + A y_p and the
-    coefficients A N.  Each block is divided by its largest entry when
-    that exceeds 1.  Size 1 gives the LP data (k,) and (k, nz); the other
-    sizes give stacks in record order: constants (k, d, d) and
-    coefficients (nz, k, d, d).
+    coefficients A N (_coefficients).  Each block is divided by its
+    largest entry when that exceeds 1.  Size 1 gives the LP data (k,) and
+    (k, nz); the other sizes give stacks in record order: constants
+    (k, d, d) and coefficients (nz, k, d, d).
     """
-    nz = N.shape[1]
+    nz = N.shape[-1]
     lp_g0, lp_G = np.zeros(0), np.zeros((0, nz))
     G0s, Gs = [], []
+    cols = N if N.ndim == 1 else np.ascontiguousarray(N.T)
     for blk in blocks:
         k, d, _ = blk.const.shape
-        A = sparse.csr_array((blk.vals, (blk.cells, blk.var_idx)),
-                             shape=(k * d * d, len(y_p)))
-        G0 = blk.const + (A @ y_p).reshape(k, d, d)
-        G = (A @ N).reshape(k, d * d, nz)
+        G0 = blk.const + np.bincount(
+            blk.cells, weights=blk.vals * y_p[blk.var_idx],
+            minlength=blk.const.size).reshape(k, d, d)
+        G = _coefficients(blk, cols, len(y_p)).reshape(nz, k, d, d)
         scale = 1.0 / np.maximum.reduce([
             np.ones(k), np.abs(G0).max(axis=(1, 2)),
-            np.abs(G).max(axis=(1, 2), initial=0.0)])
+            np.abs(G).max(axis=(0, 2, 3), initial=0.0)])
         G0 *= scale[:, None, None]
         G *= scale[:, None, None]
         if d == 1:
-            lp_g0, lp_G = G0[:, 0, 0], G[:, 0]
+            lp_g0, lp_G = G0[:, 0, 0], np.ascontiguousarray(G[:, :, 0, 0].T)
         else:
             G0s.append(G0)
-            Gs.append(np.ascontiguousarray(G.transpose(2, 0, 1)).reshape(
-                nz, k, d, d))
+            Gs.append(G)
     return lp_g0, lp_G, G0s, Gs
 
 
@@ -341,14 +487,18 @@ def dense_bytes(problem: SdpProblem) -> int:
 
 
 def _solution(problem, N, z, status, iters, residuals):
-    y = problem.free[0] + (N @ z if len(z) else 0.0)
+    y = problem.free[0].copy()
+    if N.ndim == 1:
+        y[N] += z
+    elif len(z):
+        y += N @ z
     return SdpSolution(y=y, objective_value=float(problem.objective @ y),
                        status=status, iterations=iters, residuals=residuals)
 
 
 def _fixed_point(problem):
     """The solution when nothing is free: the offset, checked as feasible."""
-    N = np.zeros((problem.nvars, 0))
+    N = np.zeros(0, dtype=np.int64)
     lp_g0, _, G0s, _ = _stack_blocks(problem.blocks, problem.free[0], N)
     lam_min = min((np.linalg.eigvalsh(G0)[:, 0].min() for G0 in G0s),
                   default=0.0)
@@ -372,7 +522,8 @@ class _Batch:
     """
 
     def __init__(self, problems, Ns):
-        c = np.stack([N.T @ problem.objective
+        c = np.stack([problem.objective[N] if N.ndim == 1 else
+                      N.T @ problem.objective
                       for problem, N in zip(problems, Ns)])
         self.ids = np.arange(len(problems))
         self.obj_scale = 1.0 / np.maximum(1.0, np.abs(c).max(axis=1))
@@ -442,7 +593,7 @@ def solve_many(problems, max_iter: int = DEFAULT_MAX_ITER) -> list:
 def _lockstep(problems, shape, max_iter):
     """The IPM on problems of one shape, each with its own steps and stop."""
     out = [None] * len(problems)
-    Ns = [np.linalg.qr(problem.free[1])[0] for problem in problems]
+    Ns = [_free_basis(problem) for problem in problems]
     st = _Batch(problems, Ns)
     nz, stacks, nlp = shape
     nst = len(stacks)
@@ -534,6 +685,7 @@ def _lockstep(problems, shape, max_iter):
             w_lp = st.x_lp / st.s_lp
             Lm, bad = _schur_factor(_schur(st.Gs, scal, st.lp_G, w_lp))
             if not bad.any():
+                schur_solve = _schur_solver(Lm)
                 break
             end(np.where(bad, "numerical_failure", None), it)
         if not len(st):
@@ -558,7 +710,7 @@ def _lockstep(problems, shape, max_iter):
             if corr_lp is not None:
                 lp_target = lp_target - corr_lp / st.s_lp
             rhs = rhs + np.vecmat(lp_target + w_lp * st.r_lp, st.lp_G)
-            dz = _cho_solve(Lm, rhs)
+            dz = schur_solve(rhs)
             dS, dX = [], []
             for s in range(nst):
                 R = scal[s]

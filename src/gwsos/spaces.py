@@ -30,7 +30,10 @@ class MetricMeasureSpace:
     inequality; ``weights`` must be nonnegative and sum to one within
     1e-8, and are then divided by their sum, so that two spaces always
     carry the same mass and have couplings.  Instances are immutable and
-    safe to share across threads.
+    safe to share across threads.  ``_triangles_checked`` is for
+    constructors in this package that restrict or shrink the distances
+    of a valid space, which keeps the triangle inequality: they skip its
+    O(n^3) check.
     """
 
     labels: tuple
@@ -38,14 +41,15 @@ class MetricMeasureSpace:
     weights: np.ndarray
     name: str = ""
     scale: float = 1.0  # factor distances were divided by, if normalized
+    _triangles_checked: dataclasses.InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _triangles_checked):
         dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        validate_space(self)
+        validate_space(self, triangles=not _triangles_checked)
         object.__setattr__(self, "weights", weights / weights.sum())
         self.dist.setflags(write=False)
         self.weights.setflags(write=False)
@@ -62,8 +66,13 @@ class MetricMeasureSpace:
         return self.diameter <= 1.0 + DIAMETER_TOL
 
 
-def validate_space(space: MetricMeasureSpace) -> None:
-    """Raise :class:`ValidationError` on the first violated invariant."""
+def validate_space(space: MetricMeasureSpace, *,
+                   triangles: bool = True) -> None:
+    """Raise :class:`ValidationError` on the first violated invariant.
+
+    ``triangles=False`` skips the triangle inequality, for distances
+    already known to satisfy it.
+    """
     d, w = space.dist, space.weights
     n = len(space.labels)
     if d.shape != (n, n):
@@ -85,7 +94,19 @@ def validate_space(space: MetricMeasureSpace) -> None:
     if bad_diag.size:
         i = int(bad_diag[0][0])
         raise ValidationError(f"nonzero diagonal at ({i}, {i}): {d[i, i]}")
-    # triangle inequality d[i,k] <= d[i,j] + d[j,k], in slabs of rows i
+    if triangles:
+        _check_triangles(d)
+    if (w < 0).any():
+        i = int(np.argwhere(w < 0)[0][0])
+        raise ValidationError(f"negative weight at index {i}: {w[i]}")
+    total = float(w.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise ValidationError(f"weights sum to {total}, expected 1")
+
+
+def _check_triangles(d):
+    """Triangle inequality d[i,k] <= d[i,j] + d[j,k], in slabs of rows i."""
+    n = len(d)
     step = max(1, _TRIANGLE_SLAB // (n * n))
     for lo in range(0, n, step):
         rows = d[lo:lo + step]
@@ -98,12 +119,20 @@ def validate_space(space: MetricMeasureSpace) -> None:
             f"triangle inequality violated for (i={i}, j={j}, k={k}): "
             f"d[{i},{k}]={d[i, k]} > d[{i},{j}] + d[{j},{k}]="
             f"{d[i, j] + d[j, k]}")
-    if (w < 0).any():
-        i = int(np.argwhere(w < 0)[0][0])
-        raise ValidationError(f"negative weight at index {i}: {w[i]}")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise ValidationError(f"weights sum to {total}, expected 1")
+
+
+def restrict_space(space: MetricMeasureSpace, points, weights,
+                   name: str) -> MetricMeasureSpace:
+    """The space on the given point indices, with new weights.
+
+    A restriction of a metric keeps the triangle inequality, so it is
+    not checked again; shapes and weights are.
+    """
+    points = np.asarray(points)
+    return MetricMeasureSpace(labels=[space.labels[i] for i in points],
+                              dist=space.dist[np.ix_(points, points)],
+                              weights=weights, name=name, scale=space.scale,
+                              _triangles_checked=True)
 
 
 def isometries(space: MetricMeasureSpace) -> list:
@@ -191,11 +220,14 @@ def normalize_diameter(space: MetricMeasureSpace) -> MetricMeasureSpace:
     diam = space.diameter
     if diam <= 0:
         return space
+    # TRIANGLE_TOL is absolute: shrinking keeps a violation within it,
+    # enlarging may not
     return MetricMeasureSpace(labels=space.labels,
                               dist=space.dist / diam,
                               weights=space.weights,
                               name=space.name,
-                              scale=space.scale * diam)
+                              scale=space.scale * diam,
+                              _triangles_checked=diam >= 1)
 
 
 def merge_coincident_points(space: MetricMeasureSpace,
@@ -218,15 +250,9 @@ def merge_coincident_points(space: MetricMeasureSpace,
         reps.append(i)
     if len(reps) == n:
         return space
-    reps = np.asarray(reps)
     weights = np.zeros(len(reps))
     np.add.at(weights, group, space.weights)
-    return MetricMeasureSpace(
-        labels=[space.labels[i] for i in reps],
-        dist=space.dist[np.ix_(reps, reps)],
-        weights=weights,
-        name=space.name,
-        scale=space.scale)
+    return restrict_space(space, reps, weights, space.name)
 
 
 @dataclasses.dataclass(frozen=True)

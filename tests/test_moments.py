@@ -32,10 +32,38 @@ class TestBasis:
         got = basis.index_rows(basis.exponents)
         assert np.array_equal(got, np.arange(len(basis)))
 
+    @pytest.mark.parametrize("nvars,maxdeg", [(2, 2), (9, 4), (12, 4),
+                                              (64, 2)])
+    def test_rank_is_position(self, nvars, maxdeg):
+        basis = mom.get_basis(nvars, maxdeg)
+        assert np.array_equal(basis.index_rows(basis.exponents),
+                              np.arange(len(basis)))
+        # int64 rows, as callers build them, give the same ranks
+        rows = basis.exponents[::-7].astype(np.int64)
+        assert np.array_equal(basis.index_rows(rows),
+                              np.arange(len(basis))[::-7])
+
+    @pytest.mark.parametrize("nvars,maxdeg", [(1, 3), (3, 4), (4, 3)])
+    def test_order_matches_recursive_enumeration(self, nvars, maxdeg):
+        def desc(total, parts):
+            # tuples summing to total, first coordinate descending
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total, -1, -1):
+                for rest in desc(total - first, parts - 1):
+                    yield (first,) + rest
+        want = [row for d in range(maxdeg + 1) for row in desc(d, nvars)]
+        basis = mom.MonomialBasis(nvars, maxdeg)
+        assert [tuple(r) for r in basis.exponents] == want
+
     def test_out_of_range_monomial_raises(self):
         basis = mom.get_basis(2, 2)
         with pytest.raises(KeyError):
             basis.index_rows(np.array([[3, 0]]))
+        for row in ([-1, 1], [1, -1], [256, 0]):
+            with pytest.raises(KeyError):
+                basis.index_rows(np.array([[0, 0], row]))
 
     def test_size_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -49,6 +77,8 @@ class TestBasis:
             mom.MonomialBasis(0, 2)
         with pytest.raises(ValueError):
             mom.MonomialBasis(2, -1)
+        with pytest.raises(ValueError, match="uint8"):
+            mom.MonomialBasis(1, 256)
 
 
 class TestMomentVectors:

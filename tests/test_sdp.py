@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, sparse
 
 from gwsos import assemble_relaxation, sdp
 
@@ -120,7 +121,7 @@ class TestDeterminism:
     def test_bit_identical_reruns_with_stacks(self, rng):
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
-        N = np.linalg.qr(prob.free[1])[0]
+        N = sdp._free_basis(prob)
         lp_g0, _, G0s, _ = sdp._stack_blocks(prob.blocks, prob.free[0], N)
         assert len(lp_g0) == 126
         assert [G0.shape for G0 in G0s] == [(1, 15, 15), (36, 5, 5)]
@@ -144,12 +145,12 @@ class TestStacks:
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
         y_p = prob.free[0]
-        N = np.linalg.qr(prob.free[1])[0]
+        N = sdp._free_basis(prob)
         lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(prob.blocks, y_p, N)
         got = {1: (lp_g0[:, None, None], lp_G[:, None, None, :])}
         for G0, G in zip(G0s, Gs):
             got[G0.shape[1]] = (G0, G.transpose(1, 2, 3, 0))
-        Y = np.column_stack([y_p, N])
+        Y = np.column_stack([y_p, np.eye(prob.nvars)[:, N]])
         for blk in prob.blocks:
             k, d, _ = blk.const.shape
             have0, have = got[d]
@@ -226,6 +227,88 @@ def _sym(M):
     return 0.5 * (M + M.mT)
 
 
+def _random_record(rng, k, d, nvars, ntrip):
+    """A record with duplicate (cell, var) triplets and empty cells."""
+    cells = rng.integers(0, k * d * d, size=ntrip // 2)
+    var_idx = rng.integers(0, nvars, size=ntrip // 2)
+    return sdp.PsdBlock(const=rng.normal(size=(k, d, d)),
+                        var_idx=np.concatenate([var_idx, var_idx[:5]]),
+                        cells=np.concatenate([cells, cells[:5]]),
+                        vals=rng.normal(size=ntrip // 2 + 5))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_stacking_matches_sparse_reference(self, rng, dense):
+        nvars = 7
+        blocks = [_random_record(rng, 3, 4, nvars, 40),
+                  _random_record(rng, 5, 1, nvars, 12),
+                  _random_record(rng, 2, 2, nvars, 10)]
+        assert len(np.unique(blocks[0].cells)) < blocks[0].const.size
+        y_p = rng.normal(size=nvars)
+        N = rng.normal(size=(nvars, 4)) if dense else np.array([1, 2, 4, 6])
+        lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(blocks, y_p, N)
+        got = {1: (lp_g0[:, None, None], lp_G.T[:, :, None, None])}
+        for G0, G in zip(G0s, Gs):
+            got[G0.shape[-1]] = (G0, G)
+        Nd = N if dense else np.eye(nvars)[:, N]
+        for blk in blocks:
+            k, d, _ = blk.const.shape
+            A = sparse.csr_array((blk.vals, (blk.cells, blk.var_idx)),
+                                 shape=(k * d * d, nvars))
+            G0 = blk.const + (A @ y_p).reshape(k, d, d)
+            G = (A @ Nd).T.reshape(4, k, d, d)
+            scale = np.maximum.reduce([np.ones(k), np.abs(G0).max(axis=(1, 2)),
+                                       np.abs(G).max(axis=(0, 2, 3))])
+            assert np.allclose(got[d][0], G0 / scale[:, None, None],
+                               rtol=0, atol=1e-15)
+            assert np.allclose(got[d][1], G / scale[:, None, None],
+                               rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 312])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_schur_solve_matches_cho_solve(self, rng, n, count):
+        A = rng.normal(size=(count, n, n))
+        M = A @ A.mT + 0.1 * np.eye(n)
+        L, bad = sdp._schur_factor(M)
+        assert not bad.any()
+        rhs = rng.normal(size=(count, n))
+        x = sdp._schur_solver(L)(rhs)
+        for i in range(count):
+            want = linalg.cho_solve((L[i], True), rhs[i])
+            assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_schur_solve_with_ridge(self, rng):
+        # the second problem's matrix is singular: only it gets the ridge
+        A = rng.normal(size=(3, 65, 65))
+        A[1, :, 40:] = 0.0
+        M = A @ A.mT
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M[1])
+        L, bad = sdp._schur_factor(M)
+        assert not bad.any()
+        rhs = rng.normal(size=(3, 65))
+        x = sdp._schur_solver(L)(rhs)
+        for i in range(3):
+            want = linalg.cho_solve((L[i], True), rhs[i])
+            assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_free_coordinates_match_an_explicit_basis(self, rng):
+        # without isometries the free set is w[1:]; the same set as a
+        # dense basis goes through the QR and the dense stacking
+        prob, info = assemble_relaxation(random_space(rng, 3),
+                                         random_space(rng, 3), level=2)
+        assert info.symmetries == 1
+        offset, coords = prob.free
+        assert np.array_equal(coords, np.arange(1, prob.nvars))
+        dense = dataclasses.replace(
+            prob, free=(offset, np.eye(prob.nvars)[:, coords]))
+        a, b = sdp.solve(prob), sdp.solve(dense)
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert abs(a.objective_value - b.objective_value) <= 1e-12
+
+
 class TestSerialization:
     def test_dump_load_roundtrip(self, tmp_path):
         prob = analytic_problem()
@@ -265,9 +348,20 @@ class TestSerialization:
                                       random_space(rng, 2), level=1)
         path = tmp_path / "prob.json"
         sdp.dump_problem(prob, path)
+        assert "coords" in json.loads(path.read_text())["free"]
         again = sdp.load_problem(path)
         for a, b in zip(again.free, prob.free):
             assert np.array_equal(a, b)
+        assert again.free[1].dtype.kind == "i"
+        s0, s1 = sdp.solve(prob), sdp.solve(again)
+        assert s1.iterations == s0.iterations
+        assert np.array_equal(s1.y, s0.y)
+
+    @pytest.mark.parametrize("coords", [[1.0], [1, 1], [2], [-1]])
+    def test_malformed_coordinates_refused(self, coords):
+        with pytest.raises(ValueError, match="distinct integers"):
+            sdp.SdpProblem(nvars=2, objective=[1.0, 0.0], blocks=[],
+                           free=([1.0, 0.0], np.array(coords)))
 
     def test_dump_without_free_refused(self, tmp_path):
         path = tmp_path / "prob.json"

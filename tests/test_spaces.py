@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwsos import (Coupling, MetricMeasureSpace, ValidationError,
-                   build_cost_tensor, lipschitz_constant, load_space,
-                   merge_coincident_points, normalize_diameter,
-                   product_coupling)
+                   build_cost_tensor, concentrate_space, hierarchy,
+                   lipschitz_constant, load_space, merge_coincident_points,
+                   normalize_diameter, product_coupling, spaces)
+from gwsos.geometry import partition_from_cells
 from gwsos.sampling import ground_circle, ground_interval
 from gwsos.spaces import isometries
 
@@ -152,6 +153,59 @@ class TestNormalizeAndMerge:
     def test_merge_noop_when_separated(self):
         sp = make([[0, 1], [1, 0]], [0.5, 0.5])
         assert merge_coincident_points(sp) is sp
+
+
+class TestDerivedSpacesSkipTriangles:
+    """Restrictions and shrinkings of a valid space skip the O(n^3) check."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        check = spaces._check_triangles
+        monkeypatch.setattr(spaces, "_check_triangles",
+                            lambda d: calls.append(len(d)) or check(d))
+        return calls
+
+    def test_restrictions_and_shrinking_do_not_recheck(self, counted):
+        pts = np.array([0.0, 0.0, 0.8, 1.7, 3.0])  # points 0 and 1 coincide
+        sp = MetricMeasureSpace(labels=list("abcde"),
+                                dist=np.abs(pts[:, None] - pts),
+                                weights=[0.1, 0.2, 0.0, 0.3, 0.4])
+        assert counted == [5]
+        derived = [normalize_diameter(sp), merge_coincident_points(sp),
+                   hierarchy._support(sp)[0],
+                   concentrate_space(sp, partition_from_cells(
+                       sp, [(0, 1), (2, 3), (4,)], [0, 3, 4]))]
+        assert counted == [5]
+        # each equals the space built with every check
+        for got in derived:
+            want = MetricMeasureSpace(labels=got.labels, dist=got.dist,
+                                      weights=got.weights, name=got.name,
+                                      scale=got.scale)
+            assert (got.labels, got.name, got.scale) == \
+                (want.labels, want.name, want.scale)
+            assert np.array_equal(got.dist, want.dist)
+            assert np.array_equal(got.weights, want.weights)
+        assert [d.size for d in derived] == [5, 4, 4, 3]
+
+    def test_enlarging_still_checks(self, counted):
+        # a violation inside TRIANGLE_TOL grows past it when the diameter
+        # 0.5 is scaled up to 1, so normalize_diameter must check
+        eps = 0.9 * spaces.TRIANGLE_TOL
+        dist = np.array([[0.0, 0.25, 0.5 + eps],
+                         [0.25, 0.0, 0.25],
+                         [0.5 + eps, 0.25, 0.0]])
+        sp = make(dist, [0.25, 0.25, 0.5])
+        with pytest.raises(ValidationError, match="triangle"):
+            normalize_diameter(sp)
+        assert counted == [3, 3]
+
+    def test_shape_and_weight_checks_still_run(self):
+        sp = make([[0, 1], [1, 0]], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="weights sum"):
+            spaces.restrict_space(sp, [0], [0.5], "")
+        with pytest.raises(ValidationError, match="negative weight"):
+            spaces.restrict_space(sp, [0, 1], [1.5, -0.5], "")
 
 
 class TestCostTensor:
