@@ -312,11 +312,31 @@ def cmd_solver_dump(x_file, y_file, level, p, q, output):
         _input_error(str(exc))
     path = output or "problem.json"
     sdp.dump_problem(problem, path)
-    _emit({"problem_file": path, "nvars": info.nvars,
+    _emit({"problem_file": path, "nvars": problem.nvars,
            "num_equalities": len(problem.eq_rhs),
-           "blocks": list(info.block_labels)},
+           "blocks": _block_labels(info.parts)},
           manifest, started, None)
     sys.exit(EXIT_OK)
+
+
+def _block_labels(parts):
+    """One label per block, in the order of the problem's records.
+
+    The hierarchy stacks blocks of one size in order of first appearance,
+    so the labels of each part join those of its size.  M_r is "moment",
+    its isotypic block of signs (+1, -1) "moment[+,-]", and the localizing
+    block of entries 0 and 3 "loc[0,3]".
+    """
+    labels = {}
+    for d, what in parts:
+        if what is None:
+            new = ["moment"]
+        elif isinstance(what, tuple):
+            new = [f"moment[{','.join('+' if s > 0 else '-' for s in what)}]"]
+        else:
+            new = [f"loc[{','.join(map(str, row))}]" for row in what.tolist()]
+        labels.setdefault(d, []).extend(new)
+    return [label for group in labels.values() for label in group]
 
 
 if __name__ == "__main__":

@@ -28,13 +28,21 @@ coupling and nothing to solve.
 Isometries shrink the problem.  Weight-preserving isometries s of X and
 t of Y permute the coupling entries by (i, j) -> (s(i), t(j)) and leave
 the objective, the polytope and the set of blocks unchanged, so some
-optimum has pi-moments constant on the orbits of monomials
-(:func:`reduce_by_symmetry`), and blocks of subsets in one orbit are
-congruent there: only the first of each orbit is built.  The reduction
-is exact only when every permutation keeps every distance and weight
-exactly, which is why :func:`gwsos.spaces.isometries` compares with
-``==``; the isometries a capped search returns still give the exact
-orbits of the subgroup they generate.
+optimum has pi-moments constant on the orbits of monomials.  Such w are
+w = w0 + N z, with w0 the product coupling's Dirac and N an orthonormal
+basis of the invariant directions (:func:`reduce_by_symmetry`), and the
+problem is stated to the solver in the coordinates y = (1, z): each
+block's coefficients are those of w0 and of N's columns, dense.  Blocks
+of subsets in one orbit are congruent there, so only the first of each
+orbit is built, and M_r is block-diagonal in a basis adapted to the
+commuting involutions among the isometries: it becomes one block per
+joint sign of their eigenspaces (:func:`_isotypic_split`; Gatermann &
+Parrilo, JPAA 2004).  Blocks of one size share one record.  The
+reduction is exact only when every permutation keeps every distance and
+weight exactly, which is why :func:`gwsos.spaces.isometries` compares
+with ``==``; the isometries a capped search returns still give the
+exact orbits of the subgroup they generate, and the involutions kept
+lie in that subgroup.
 """
 
 from __future__ import annotations
@@ -58,9 +66,15 @@ class RelaxationInfo:
     m: int
     n: int
     nvars: int                # t-moments w
-    block_labels: tuple
+    # the blocks in assembly order as (size, what) parts: what is None
+    # for M_r, the sign vector of one of its isotypic blocks on symmetric
+    # pairs, and for the localizing blocks of one h their subsets I, as a
+    # (count, 2h) array of entries among all m*n
+    parts: tuple
     basis: mom.MonomialBasis  # pi-monomials of degree <= 2r
     lift: np.ndarray          # the pi-moments are lift @ w
+    # symmetric pairs: W = [w0, N], with w = W y for the solution y = (1, z)
+    reduced: np.ndarray | None
     symmetries: int           # coupling-entry permutations the problem used
 
 
@@ -94,15 +108,16 @@ def _substitution_map(basis, mu, nu):
     L = np.zeros((len(basis), len(tbasis)))
     L[0, 0] = 1.0
     for d in range(1, basis.maxdeg + 1):
-        rows = np.flatnonzero(basis.degrees == d)
-        v = first[rows - 1]
-        prev = L[parent[rows - 1]]
-        new = b0[v, None] * prev
+        # the rows of degree d, filled in place: first with their parents
+        lo, hi = (mom.basis_size(basis.nvars, e) for e in (d - 1, d))
+        new = L[lo:hi]
+        v = first[lo - 1:hi - 1]
+        np.take(L, parent[lo - 1:hi - 1], axis=0, out=new, mode="clip")
         r, u = np.nonzero(B[:, v].T)
-        width = mom.basis_size(k, d - 1)  # prev has degree d - 1
-        np.add.at(new, (r[:, None], shifts[u, :width]),
-                  B[u, v[r], None] * prev[r, :width])
-        L[rows] = new
+        width = mom.basis_size(k, d - 1)  # the parents have degree d - 1
+        shifted = B[u, v[r], None] * new[r, :width]
+        new *= b0[v, None]
+        np.add.at(new, (r[:, None], shifts[u, :width]), shifted)
     return L
 
 
@@ -139,51 +154,121 @@ def _orbit_labels(perms):
         label = new
 
 
-def _range_basis(A):
-    """Orthonormal basis of the column space of A, by one thin SVD.
-
-    Singular values at or below max(A.shape) * eps times the largest are
-    dropped; a matrix without columns gives an empty basis.
-    """
-    U, sv = np.linalg.svd(A, full_matrices=False)[:2]
-    rtol = max(A.shape) * np.finfo(float).eps
-    rank = int((sv > rtol * sv[0]).sum()) if len(sv) else 0
-    return U[:, :rank]
+# The invariant directions are the range of the scaled orbit means A
+# (reduce_by_symmetry), taken from eigh of A A'.  Its eigenvalues are the
+# squared singular values of A, which eigh resolves only down to about
+# len(A) * eps (1e-13) times the largest.  On every symmetric pair tried
+# the singular values split into those of invariant directions, at least
+# 0.015 times the largest, and rounding, at most 1e-14 times it, so the
+# cut at 1e-8 of the largest eigenvalue (singular values at 1e-4) sits in
+# that gap, far below the smallest kept eigenvalue (2e-4) and far above
+# the rounding of eigh.
+_GRAM_RTOL = 1e-8
 
 
 def reduce_by_symmetry(basis, L, t_rows, entry_perms):
-    """Monomial orbits and a basis of the invariant t-moment directions.
+    """Monomial orbits and an orthonormal basis N of the invariant t-moments.
 
     Entry permutations rename the variables of pi-monomials; ``orbit``
     labels each by its orbit.  The invariant moments are the image of the
     group average, so as orbit values u (y = u[orbit]) their directions
     span the orbit means of L's columns past the first.  Row t_rows[g] of
     L is the unit vector of t-monomial g, so w = u[orbit[t_rows]], which
-    is one to one there: only the orbits of t-monomials enter the SVD.
+    is one to one there: only the orbits of t-monomials enter.  Scaled by
+    the square root of its number c of t-monomials, each orbit's row of
+    means takes the Euclidean product of w to that of the rows, so an
+    orthonormal basis V of the scaled rows' range expands to the
+    orthonormal N = (V / sqrt(c))[orbit of each t-monomial] with no QR.
     """
     mono = [basis.index_rows(basis.exponents[:, np.argsort(perm)])
             for perm in entry_perms]
     orbit = np.unique(_orbit_labels(mono), return_inverse=True)[1]
-    order = np.argsort(orbit, kind="stable")
-    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
-    sizes = np.diff(np.append(starts, len(orbit)))
-    mean = np.add.reduceat(L[order, 1:], starts, axis=0) / sizes[:, None]
-    t_orbits, t_orbit = np.unique(orbit[t_rows], return_inverse=True)
-    return orbit, _range_basis(mean[t_orbits])[t_orbit]
+    t_orbits, t_orbit, count = np.unique(orbit[t_rows], return_inverse=True,
+                                         return_counts=True)
+    pos = np.full(orbit.max() + 1, -1)
+    pos[t_orbits] = np.arange(len(t_orbits))
+    group = pos[orbit]  # the t-orbit of each pi-monomial, or -1
+    # orbit sums of L[:, 1:]: the unit rows of the t-monomials past the
+    # constant, then the other pi-monomials of the t-orbits, by orbit
+    A = np.zeros((len(t_orbits), L.shape[1] - 1))
+    A[t_orbit[1:], np.arange(len(A.T))] = 1.0
+    group[t_rows] = -1
+    rows = np.flatnonzero(group >= 0)
+    rows = rows[np.argsort(group[rows], kind="stable")]
+    if len(rows):
+        starts = np.flatnonzero(np.diff(group[rows], prepend=-1))
+        A[group[rows[starts]]] += np.add.reduceat(L[rows, 1:], starts, axis=0)
+    sizes = count + np.bincount(group[rows], minlength=len(count))
+    A *= (np.sqrt(count) / sizes)[:, None]
+    lam, V = np.linalg.eigh(A @ A.T)
+    keep = lam > _GRAM_RTOL * lam[-1]
+    # eigh leaves eigenvector i within about eps * lam_max / lam_i of the
+    # range; one product with A A' / lam brings it within eps times the
+    # condition of A, and one Newton-Schulz step restores orthonormality
+    V = A @ (A.T @ (V[:, keep] / lam[keep]))
+    V = V @ (1.5 * np.eye(len(V.T)) - 0.5 * (V.T @ V))
+    return orbit, (V / np.sqrt(count)[:, None])[t_orbit]
 
 
-def _localizing_blocks(basis, tbasis, L, level, orbit, entry_ids):
-    """M_r (h = 0), then the localizing blocks: one record per h.
+def _involutions(gx, gy):
+    """Commuting order-2 isometries of X and of Y, as entry permutations.
 
-    One shift table T[a, b, g] = index of t^(a+b+g) serves all subsets I
-    of one h: block I adds L[e_I, g] w[T[a, b, g]] at (a, b) for each g
-    with L[e_I, g] != 0.  With ``orbit``, only the first subset of each
-    orbit of e_I gets a block.  Returns the records and one label per
-    block, naming entries by ``entry_ids``.
+    Each side keeps, in list order, every order-2 element that commutes
+    with those it kept and is no product of them, so the kept ones
+    generate an elementary abelian 2-group, independently, inside the
+    group whose orbits reduce the problem; elements of X and of Y always
+    commute.
+    """
+    kept = []
+    for group in (gx, gy):
+        gens, elems = [], [group[0]]
+        for g in group[1:]:
+            if (np.array_equal(g[g], group[0]) and
+                    not any(np.array_equal(g, e) for e in elems) and
+                    all(np.array_equal(g[h], h[g]) for h in gens)):
+                gens.append(g)
+                elems += [e[g] for e in elems]
+        kept.append([group[0]] + gens)
+    return _entry_permutations(*kept)
+
+
+def _isotypic_split(basis, L, t_rows, d, involutions):
+    """(signs s, basis Q_s) of each joint eigenspace of the moment matrix.
+
+    Row a of T_g is the row of L at the pi-monomial g(t^a): the
+    t-polynomial g makes of t^a, read on the first d t-monomials, those
+    of degree <= r.  For invariant w, T_g M_r(w) T_g' = M_r(w); the T_g
+    commute and square to I, so M_r(w) T_g' = T_g M_r(w), and the joint
+    eigenspaces of the T_g' are orthogonal under every such M_r(w).  With
+    bases Q_s of them, M_r(w) is PSD iff every Q_s' M_r(w) Q_s is
+    (Gatermann & Parrilo, JPAA 2004).  P_s = prod_i (I + s_i T_i')/2
+    projects onto the space of signs s; its rank is its trace, and Q_s is
+    an orthonormal basis of its range.  Empty spaces are left out.
+    """
+    exps = basis.exponents[t_rows[:d]]
+    Ts = [L[basis.index_rows(exps[:, perm]), :d].T for perm in involutions]
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(Ts)):
+        P = np.eye(d)
+        for s, T in zip(signs, Ts):
+            P = P @ (np.eye(d) + s * T) / 2
+        rank = round(np.trace(P))
+        if rank:
+            out.append((signs, np.linalg.svd(P)[0][:, :rank]))
+    return out
+
+
+def _block_terms(basis, tbasis, level, orbit):
+    """M_r (h = 0), then the localizing blocks: (d, subsets, T, rows) per h.
+
+    One shift table T[a, b, g] = index of t^(a+b+g), flattened to
+    (d*d, width), serves all subsets I of one h: block I adds
+    L[e_I, g] w[T[a, b, g]] at (a, b), and rows holds the e_I.  With
+    ``orbit``, only the first subset of each orbit of e_I is kept.
     """
     nvars, k = basis.nvars, tbasis.nvars
     exps = tbasis.exponents.astype(np.int64)
-    blocks, labels = [], []
+    terms = []
     for h in range(min(level, nvars // 2) + 1):
         d = mom.basis_size(k, level - h)
         width = mom.basis_size(k, 2 * h)
@@ -199,15 +284,52 @@ def _localizing_blocks(basis, tbasis, L, level, orbit, entry_ids):
         T = tbasis.index_rows(
             (exps[:d, None, None] + exps[None, :d, None] +
              exps[None, None, :width]).reshape(-1, k)).reshape(d * d, width)
-        coef = L[rows, :width]
+        terms.append((d, subsets, T, rows))
+    return terms
+
+
+def _records(terms, L):
+    """One triplet record per h over w: the nonzero L[e_I, g] of each block."""
+    blocks = []
+    for d, _, T, rows in terms:
+        coef = L[rows, :T.shape[1]]
         which, g = np.nonzero(coef)
         blocks.append(sdp.PsdBlock(
-            const=np.zeros((len(rows), d, d)), var_idx=T[:, g].T.ravel(),
+            const=np.zeros((len(coef), d, d)), var_idx=T[:, g].T.ravel(),
             cells=(which[:, None] * (d * d) + np.arange(d * d)).ravel(),
             vals=np.repeat(coef[which, g], d * d)))
-        labels += [f"loc[{','.join(map(str, entry_ids[subset]))}]"
-                   if h else "moment" for subset in subsets]
-    return blocks, labels
+    return blocks
+
+
+def _reduced_records(terms, L, W, split):
+    """Records over y = (1, z) for w = W y, one per block size.
+
+    The coefficient of y_j at (a, b) of block I is
+    sum_g L[e_I, g] W[T[a, b, g], j]; y_0 = 1 gives the constants, and
+    each z_j one triplet per cell.  M_r gives its isotypic blocks
+    Q_s' M_r Q_s instead (``split``).  Blocks of one size are stacked in
+    order of first appearance.
+    """
+    ny = W.shape[1]
+    stacks = {}
+    for h, (d, _, T, rows) in enumerate(terms):
+        C = L[rows, :T.shape[1]] @ W[T.T].reshape(T.shape[1], -1)
+        C = C.reshape(len(rows), d * d, ny).transpose(2, 0, 1).reshape(
+            ny, len(rows), d, d)
+        if h:
+            stacks.setdefault(d, []).append(C)
+        else:
+            for _, Q in split:
+                stacks.setdefault(len(Q.T), []).append(
+                    (Q.T @ C[:, 0] @ Q)[:, None])
+    blocks = []
+    for group in stacks.values():
+        S = np.concatenate(group, axis=1) if len(group) > 1 else group[0]
+        size = S[0].size
+        blocks.append(sdp.PsdBlock(
+            const=S[0], var_idx=np.repeat(np.arange(1, ny), size),
+            cells=np.tile(np.arange(size), ny - 1), vals=S[1:].ravel()))
+    return blocks
 
 
 def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
@@ -229,29 +351,44 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     eye = np.eye(nvars, dtype=np.int64)
     quad = basis.index_rows((eye[:, None] + eye[None, :]).reshape(-1, nvars))
     c = np.bincount(quad, weights=cost.entries.ravel(), minlength=len(basis))
+    objective = c @ L
 
     gx, gy = isometries(Xs), isometries(Ys)
     perms = _entry_permutations(gx, gy)
     entry_ids = np.flatnonzero(np.outer(kx, ky))  # kept among all m*n
     k = (Xs.size - 1) * (Ys.size - 1)
     nt = L.shape[1]
-    blocks, labels, free = [], [], (np.ones(1), np.zeros((1, 0)))
+    blocks, parts, W = [], [], None
+    free = (np.ones(1), np.arange(0))  # k = 0: w = (1,) is all there is
     if k:
         tbasis = mom.get_basis(k, 2 * level)
         t0 = np.outer(Xs.weights, Ys.weights)[:-1, :-1].ravel()
         # without isometries the free set is the coordinates w[1:]
-        orbit, free_basis = None, np.arange(1, nt)
+        free = (mom.point_moments(tbasis, t0), np.arange(1, nt))
+        d = mom.basis_size(k, level)
+        orbit, parts = None, [(d, None)]
         if perms:
             grid = np.arange(nvars).reshape(Xs.size, Ys.size)
             t_exps = np.zeros((nt, nvars), dtype=np.int64)
             t_exps[:, grid[:-1, :-1].ravel()] = tbasis.exponents
-            orbit, free_basis = reduce_by_symmetry(
-                basis, L, basis.index_rows(t_exps), perms)
-        free = (mom.point_moments(tbasis, t0), free_basis)
-        blocks, labels = _localizing_blocks(basis, tbasis, L, level, orbit,
-                                            entry_ids)
-    problem = sdp.SdpProblem(nvars=nt, objective=c @ L, blocks=blocks,
-                             free=free, eq_lhs=np.eye(1, nt), eq_rhs=[1.0])
+            t_rows = basis.index_rows(t_exps)
+            orbit, N = reduce_by_symmetry(basis, L, t_rows, perms)
+            W = np.column_stack([free[0], N])
+            split = _isotypic_split(basis, L, t_rows, d,
+                                    _involutions(gx, gy))
+            parts = [(len(Q.T), signs) for signs, Q in split]
+        terms = _block_terms(basis, tbasis, level, orbit)
+        parts += [(dh, entry_ids[subsets]) for dh, subsets, _, _ in terms[1:]]
+        if W is None:
+            blocks = _records(terms, L)
+        else:
+            blocks = _reduced_records(terms, L, W, split)
+            objective = W.T @ objective
+            free = (np.eye(1, len(objective))[0],
+                    np.arange(1, len(objective)))
+    problem = sdp.SdpProblem(nvars=len(objective), objective=objective,
+                             blocks=blocks, free=free,
+                             eq_lhs=np.eye(1, len(objective)), eq_rhs=[1.0])
 
     lift = L
     if len(entry_ids) < X.size * Y.size:  # zero moments on dropped entries
@@ -261,9 +398,8 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
         lift = np.zeros((len(full), nt))
         lift[full.index_rows(exps)], basis = L, full
     info = RelaxationInfo(level=level, m=X.size, n=Y.size, nvars=nt,
-                          block_labels=tuple(labels),
-                          basis=basis, lift=lift,
-                          symmetries=len(gx) * len(gy))
+                          parts=tuple(parts), basis=basis, lift=lift,
+                          reduced=W, symmetries=len(gx) * len(gy))
     return problem, info
 
 
@@ -288,10 +424,14 @@ class GwBound:
 
 # Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
 # level-1 relaxation has 0.12 MB of them; its assembled problem, lift and
-# IPM temporaries take about 2.7 times that again (tracemalloc peak of a
+# IPM temporaries take about 2.6 times that again (tracemalloc peak of a
 # chunk of five trials), so a chunk adds about 2 MB to peak RSS however
 # many pairs there are, while its lockstep batches still share each
-# kernel call among several problems.
+# kernel call among several problems.  A symmetric pair holds more per
+# dense byte: its records are dense triplets of 24 B per coefficient, and
+# its lift and W stay in t-moments, so between assembly and solve it
+# holds 8 to 10 times its dense bytes (4x4, 8x4 and 16x4 at level 1, 3x4
+# at level 2), and a chunk of such pairs up to about 5 MB.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -343,12 +483,13 @@ def _solve_chunk(chunk, p, q):
 def _bound(info, sol, p, q):
     """The GwBound of one solved relaxation."""
     raw = sol.objective_value
+    w = sol.y if info.reduced is None else info.reduced @ sol.y
     value = max(raw, 0.0) if np.isfinite(raw) else np.nan
     root = value ** (1.0 / p) if np.isfinite(raw) else np.nan
     return GwBound(value=value, raw_objective=raw, root=root,
                    status=sol.status, iterations=sol.iterations,
                    residuals=sol.residuals, level=info.level, p=p, q=q,
-                   m=info.m, n=info.n, moments=info.lift @ sol.y,
+                   m=info.m, n=info.n, moments=info.lift @ w,
                    symmetries=info.symmetries)
 
 

@@ -3,26 +3,23 @@
 Problems are stated over a moment-style variable vector y:
 
     minimize    c' y
-    subject to  y in {offset + basis @ w}
+    subject to  y = offset off the free coordinates
                 S(y) = C + sum_t vals_t y[var_t] E(cells_t)  psd
 
 The PSD constraints come in SDPA's block-diagonal form (Fujisawa,
 Kojima & Nakata, Math. Prog. 1997): one :class:`PsdBlock` record per
 block size d holds the k blocks of that size, and no size has two
 records.  The caller states the affine set as ``free = (offset,
-basis)``, in one of two forms: a 1-D integer ``basis`` names the free
-coordinates, the others staying at the offset, and a dense (nvars,
-nfree) ``basis`` spans the free directions.  The iterates are
-y = offset + N z, with N the coordinate columns themselves or an
-orthonormal basis of the dense basis's range from one thin QR, so the
-affine constraints hold to machine precision at every iterate, no
-equality matrix is factored, and the method starts at z = 0, the
-caller's offset.  ``eq_lhs``/``eq_rhs`` may record equalities with the
-same solutions; the solver does not read them.  The triplets of a record
-form one sparse (k*d*d) x nvars matrix A, and the data of each size in z
-are const + A offset and A N, built with numpy alone: for coordinates,
-A N is the columns of A, one bincount over (coordinate, cell); for a
-dense basis, each cell sums the rows of N its triplets name.
+coords)``: the 1-D integer ``coords`` name the free coordinates z, and
+the others stay at the offset.  A caller with another affine set states
+its problem in that set's own coordinates, as the hierarchy does for
+symmetric pairs.  So the affine constraints hold exactly at every
+iterate, no equality matrix or basis is factored, and the method starts
+at z = 0, the caller's offset.  ``eq_lhs``/``eq_rhs`` may record
+equalities with the same solutions; the solver does not read them.  The
+triplets of a record form one sparse (k*d*d) x nvars matrix A, and the
+data of each size in z are const + A offset and the columns of A at the
+free coordinates, one bincount over (coordinate, cell) with numpy alone.
 One-dimensional blocks form a nonnegativity cone.
 
 The method is an infeasible-start primal-dual interior point method with
@@ -115,9 +112,8 @@ class SdpProblem:
     nvars: int
     objective: np.ndarray
     blocks: list  # PsdBlock records, one per block size
-    # (offset (nvars,), basis): the feasible y are {offset + basis @ w}
-    # for a (nvars, nfree) basis, and for a 1-D integer basis, the free
-    # coordinates, {y : y = offset off those coordinates}
+    # (offset (nvars,), coords): the feasible y are those equal to the
+    # offset off the free coordinates
     free: tuple
     # equalities with the same solution set, kept for dumps and counters
     eq_lhs: np.ndarray = ()  # (neq, nvars)
@@ -125,17 +121,15 @@ class SdpProblem:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        offset, basis = self.free
-        basis = np.asarray(basis)
-        if basis.ndim == 1:
-            if basis.size and (basis.dtype.kind not in "iu" or
-                               len(np.unique(basis)) < len(basis) or
-                               basis.min() < 0 or basis.max() >= self.nvars):
-                raise ValueError("free coordinates must be distinct "
-                                 f"integers in [0, {self.nvars})")
-            basis = basis.astype(np.int64)
-        self.free = (np.asarray(offset, dtype=float),
-                     basis if basis.ndim == 1 else basis.astype(float))
+        offset, coords = self.free
+        coords = np.asarray(coords)
+        if coords.ndim != 1 or coords.size and (
+                coords.dtype.kind not in "iu" or
+                coords.min() < 0 or coords.max() >= self.nvars or
+                not np.diff(np.sort(coords)).all()):
+            raise ValueError("free coordinates must be a 1-D array of "
+                             f"distinct integers in [0, {self.nvars})")
+        self.free = (np.asarray(offset, dtype=float), coords.astype(np.int64))
         self.eq_lhs = np.asarray(self.eq_lhs, dtype=float).reshape(
             -1, self.nvars)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
@@ -159,11 +153,8 @@ def dump_problem(problem: SdpProblem, path) -> None:
         "objective": problem.objective.tolist(),
         "eq_lhs": problem.eq_lhs.tolist(),
         "eq_rhs": problem.eq_rhs.tolist(),
-        "free": {
-            "offset": problem.free[0].tolist(),
-            "coords" if problem.free[1].ndim == 1 else "basis":
-                problem.free[1].tolist(),
-        },
+        "free": {"offset": problem.free[0].tolist(),
+                 "coords": problem.free[1].tolist()},
         "blocks": [{key: a.tolist() for key, a in vars(blk).items()}
                    for blk in problem.blocks],
     }
@@ -182,15 +173,18 @@ def load_problem(path) -> SdpProblem:
     free = doc.get("free")
     if free is None:
         raise ValueError(f"{path}: no 'free' key; the solver needs the "
-                         "affine set as free = {offset, basis or coords}")
-    basis = (np.asarray(free["coords"], dtype=np.int64) if "coords" in free
-             else np.asarray(free["basis"], dtype=float))
+                         "affine set as free = {offset, coords}")
+    if "basis" in free:
+        raise ValueError(f"{path}: 'free' has a dense 'basis'; the solver "
+                         "reads only free 'coords', so state the problem "
+                         "in the coordinates of its affine set")
     return SdpProblem(nvars=doc["nvars"],
                       objective=np.asarray(doc["objective"], dtype=float),
                       eq_lhs=np.asarray(doc["eq_lhs"], dtype=float),
                       eq_rhs=np.asarray(doc["eq_rhs"], dtype=float),
                       blocks=blocks,
-                      free=(free["offset"], basis))
+                      free=(free["offset"],
+                            np.asarray(free["coords"], dtype=np.int64)))
 
 
 def _sym(A):
@@ -391,69 +385,43 @@ def _schur_solver(L):
     return solve
 
 
-def _free_basis(problem):
-    """The free set as the IPM takes it: y = free[0] + N z.
-
-    Free coordinates stay as they are; a dense basis is orthonormalized
-    by one thin QR.
-    """
-    basis = problem.free[1]
-    return basis if basis.ndim == 1 else np.linalg.qr(basis)[0]
-
-
 def _coefficients(blk, N, nvars):
-    """A N as an (nz, k*d*d) array, A the record's sparse triplet matrix.
+    """The columns of A at the free coordinates N, as an (nz, k*d*d) array.
 
-    N is the free coordinates or the transpose (nz, nvars) of a dense
-    basis.  For coordinates, A N is the columns of A, so the triplets of
-    the other variables drop out; for a dense basis, each cell sums the
-    rows of N its triplets name, gathered as columns of the transpose.
+    A is the record's sparse triplet matrix; the triplets of the other
+    variables drop out.
     """
     size = blk.const.size
-    if N.ndim == 1:
-        nz = len(N)
-        col = np.full(nvars, -1)
-        col[N] = np.arange(nz)
-        j = col[blk.var_idx]
-        on = j >= 0
-        G = np.bincount(j[on] * size + blk.cells[on], weights=blk.vals[on],
-                        minlength=nz * size)
-        # an empty bincount is an integer array
-        return G.astype(float, copy=False).reshape(nz, size)
-    order = np.argsort(blk.cells, kind="stable")
-    cells = blk.cells[order]
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    P = N.take(blk.var_idx[order], axis=1)
-    P *= blk.vals[order]
-    if len(starts) < len(cells):
-        P = np.add.reduceat(P, starts, axis=1)
-    if len(starts) == size:  # every cell has a triplet
-        return P
-    G = np.zeros((len(N), size))
-    G[:, cells[starts]] = P
-    return G
+    nz = len(N)
+    col = np.full(nvars, -1)
+    col[N] = np.arange(nz)
+    j = col[blk.var_idx]
+    on = j >= 0
+    G = np.bincount(j[on] * size + blk.cells[on], weights=blk.vals[on],
+                    minlength=nz * size)
+    # an empty bincount is an integer array
+    return G.astype(float, copy=False).reshape(nz, size)
 
 
 def _stack_blocks(blocks, y_p, N):
-    """Cone data in z for y = y_p + N z: a nonnegativity cone and stacks.
+    """Cone data in the free coordinates N around y_p: LP and stacks.
 
     The triplets of a record of k blocks of size d form one sparse
     (k*d*d) x nvars matrix A, so the constants are const + A y_p and the
-    coefficients A N (_coefficients).  Each block is divided by its
-    largest entry when that exceeds 1.  Size 1 gives the LP data (k,) and
-    (k, nz); the other sizes give stacks in record order: constants
-    (k, d, d) and coefficients (nz, k, d, d).
+    coefficients the columns of A at N (_coefficients).  Each block is
+    divided by its largest entry when that exceeds 1.  Size 1 gives the
+    LP data (k,) and (k, nz); the other sizes give stacks in record
+    order: constants (k, d, d) and coefficients (nz, k, d, d).
     """
-    nz = N.shape[-1]
+    nz = len(N)
     lp_g0, lp_G = np.zeros(0), np.zeros((0, nz))
     G0s, Gs = [], []
-    cols = N if N.ndim == 1 else np.ascontiguousarray(N.T)
     for blk in blocks:
         k, d, _ = blk.const.shape
         G0 = blk.const + np.bincount(
             blk.cells, weights=blk.vals * y_p[blk.var_idx],
             minlength=blk.const.size).reshape(k, d, d)
-        G = _coefficients(blk, cols, len(y_p)).reshape(nz, k, d, d)
+        G = _coefficients(blk, N, len(y_p)).reshape(nz, k, d, d)
         scale = 1.0 / np.maximum.reduce([
             np.ones(k), np.abs(G0).max(axis=(1, 2)),
             np.abs(G).max(axis=(0, 2, 3), initial=0.0)])
@@ -470,7 +438,7 @@ def _stack_blocks(blocks, y_p, N):
 def _shape(problem):
     """(nz, (k, d) of each stack, LP count): what lockstep solving shares."""
     shapes = [blk.const.shape[:2] for blk in problem.blocks]
-    return (min(problem.free[1].shape),
+    return (len(problem.free[1]),
             tuple((k, d) for k, d in shapes if d > 1),
             sum(k for k, d in shapes if d == 1))
 
@@ -486,25 +454,21 @@ def dense_bytes(problem: SdpProblem) -> int:
     return 8 * nz * (nz + sum(blk.const.size for blk in problem.blocks))
 
 
-def _solution(problem, N, z, status, iters, residuals):
+def _solution(problem, z, status, iters, residuals):
     y = problem.free[0].copy()
-    if N.ndim == 1:
-        y[N] += z
-    elif len(z):
-        y += N @ z
+    y[problem.free[1]] += z
     return SdpSolution(y=y, objective_value=float(problem.objective @ y),
                        status=status, iterations=iters, residuals=residuals)
 
 
 def _fixed_point(problem):
     """The solution when nothing is free: the offset, checked as feasible."""
-    N = np.zeros(0, dtype=np.int64)
-    lp_g0, _, G0s, _ = _stack_blocks(problem.blocks, problem.free[0], N)
+    lp_g0, _, G0s, _ = _stack_blocks(problem.blocks, *problem.free)
     lam_min = min((np.linalg.eigvalsh(G0)[:, 0].min() for G0 in G0s),
                   default=0.0)
     lp_min = lp_g0.min() if len(lp_g0) else 0.0
     ok = lam_min >= -FEAS_TOL and lp_min >= -FEAS_TOL
-    return _solution(problem, N, np.zeros(0),
+    return _solution(problem, np.zeros(0),
                      "optimal" if ok else "infeasible_suspected", 0,
                      {"min_eig": float(min(lam_min, lp_min))})
 
@@ -517,20 +481,19 @@ def _stack(arrays):
 class _Batch:
     """Data and iterates of problems of one shape; axis 0 is the problem.
 
-    The data are those of each problem in z for y = free[0] + N z.  The
+    The data are those of each problem in its free coordinates z.  The
     start is infeasible: z = 0, with the slacks pushed inside the cone.
     """
 
-    def __init__(self, problems, Ns):
-        c = np.stack([problem.objective[N] if N.ndim == 1 else
-                      N.T @ problem.objective
-                      for problem, N in zip(problems, Ns)])
+    def __init__(self, problems):
+        c = np.stack([problem.objective[problem.free[1]]
+                      for problem in problems])
         self.ids = np.arange(len(problems))
         self.obj_scale = 1.0 / np.maximum(1.0, np.abs(c).max(axis=1))
         self.c = c * self.obj_scale[:, None]
         lp_g0, lp_G, G0s, Gs = zip(*(
-            _stack_blocks(problem.blocks, problem.free[0], N)
-            for problem, N in zip(problems, Ns)))
+            _stack_blocks(problem.blocks, *problem.free)
+            for problem in problems))
         self.lp_g0, self.lp_G = _stack(lp_g0), _stack(lp_G)
         self.G0s = [_stack(G0) for G0 in zip(*G0s)]
         self.Gs = [_stack(G) for G in zip(*Gs)]
@@ -593,8 +556,7 @@ def solve_many(problems, max_iter: int = DEFAULT_MAX_ITER) -> list:
 def _lockstep(problems, shape, max_iter):
     """The IPM on problems of one shape, each with its own steps and stop."""
     out = [None] * len(problems)
-    Ns = [_free_basis(problem) for problem in problems]
-    st = _Batch(problems, Ns)
+    st = _Batch(problems)
     nz, stacks, nlp = shape
     nst = len(stacks)
     nu = sum(k * d for k, d in stacks) + nlp
@@ -611,8 +573,8 @@ def _lockstep(problems, shape, max_iter):
                    dict(zip(("primal", "dual", "gap", "mu"),
                             map(float, st.res[row]))))
             i = st.ids[row]
-            out[i] = _solution(problems[i], Ns[i], st.z[row], status[row],
-                               iters, res)
+            out[i] = _solution(problems[i], st.z[row], status[row], iters,
+                               res)
         st.take(keep)
 
     def apply_G(v, s):

@@ -205,7 +205,7 @@ def test_criterion_11_sdp_solver_unit():
                        var_idx=np.array([0, 0]), cells=np.array([1, 2]),
                        vals=np.array([1.0, 1.0]))
     prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                          free=([0.0], np.eye(1)), blocks=[blk])
+                          free=([0.0], [0]), blocks=[blk])
     sols = [sdp.solve(prob) for _ in range(3)]
     assert sols[0].status == "optimal"
     assert abs(sols[0].y[0] - 1.0) <= 1e-6

@@ -201,3 +201,30 @@ class TestSolverDump:
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.25, abs=1e-4)
+
+    def test_symmetric_pair_dumps_the_reduced_problem(self, runner, files,
+                                                      tmp_path):
+        # both swaps are kept: M_1 over (1, t) splits into two 1x1 blocks,
+        # listed by the signs of their eigenspaces and stacked with the
+        # LP rows, and the free set is the coordinates y[1:] of y = (1, z)
+        out = tmp_path / "prob.json"
+        rec = record(runner.invoke(main, ["solver-dump", files["a"],
+                                          files["b"], "-o", str(out)]))
+        assert json.loads(out.read_text())["free"].keys() == {"offset",
+                                                              "coords"}
+        prob = sdp.load_problem(out)
+        assert rec["nvars"] == prob.nvars == 2
+        assert np.array_equal(prob.free[1], [1])
+        assert rec["blocks"] == ["moment[+,+]", "moment[-,-]", "loc[0,1]",
+                                 "loc[0,2]", "loc[0,3]"]
+        assert [blk.const.shape for blk in prob.blocks] == [(5, 1, 1)]
+
+    def test_asymmetric_pair_lists_every_block(self, runner, files,
+                                               tmp_path):
+        rec = record(runner.invoke(main, ["solver-dump", files["c"],
+                                          files["c"], "-o",
+                                          str(tmp_path / "prob.json")]))
+        assert rec["nvars"] == 3  # t-moments 1, t, t^2
+        assert rec["blocks"] == ["moment", "loc[0,1]", "loc[0,2]",
+                                 "loc[0,3]", "loc[1,2]", "loc[1,3]",
+                                 "loc[2,3]"]

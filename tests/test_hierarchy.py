@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -13,6 +12,7 @@ from gwsos import (MetricMeasureSpace, ValidationError, assemble_relaxation,
                    product_coupling, tensor_measure_to_moments)
 from gwsos import hierarchy, sdp
 from gwsos import moments as mom
+from gwsos.cli import _block_labels
 from gwsos.geometry import concentrate_space, partition_from_cells
 from gwsos.hierarchy import _entry_permutations
 from gwsos.oracle import _affine_parametrization
@@ -33,11 +33,13 @@ class TestAssembly:
             _, info = assemble_relaxation(random_space(rng, m),
                                           random_space(rng, n), level=level)
             assert info.symmetries == 1
-            assert info.block_labels[0] == "moment"
-            locs = [l for l in info.block_labels if l.startswith("loc")]
-            assert len(info.block_labels) == 1 + len(locs)
+            labels = _block_labels(info.parts)
+            assert labels[0] == "moment"
+            locs = [l for l in labels if l.startswith("loc")]
+            assert len(labels) == 1 + len(locs)
             assert len(locs) == sum(math.comb(m * n, 2 * h)
                                     for h in range(1, level + 1))
+            assert locs[:2] == ["loc[0,1]", "loc[0,2]"]
 
     def test_one_record_per_block_size(self, rng):
         # one record per h, holding a block per label; at 2x2 level 3 no
@@ -49,8 +51,9 @@ class TestAssembly:
             prob, info = assemble_relaxation(random_space(rng, m),
                                              random_space(rng, n), level=level)
             assert [blk.dim for blk in prob.blocks] == sizes
+            assert [d for d, _ in info.parts] == sizes
             assert sum(len(blk.const) for blk in prob.blocks) == \
-                len(info.block_labels)
+                len(_block_labels(info.parts))
 
     def test_objective_matches_cost_quadratic(self, rng):
         # the linear objective on the product coupling's t-moments equals
@@ -121,10 +124,8 @@ class TestSubstitution:
         assert np.array_equal(prob.eq_lhs, np.eye(1, prob.nvars))
         assert np.array_equal(prob.eq_rhs, [1.0])
         assert offset[0] == 1.0
-        if k:  # without isometries the free set is the coordinates w[1:]
-            assert np.array_equal(basis, np.arange(1, prob.nvars))
-        else:
-            assert basis.shape == (1, 0)
+        # without isometries the free set is the coordinates w[1:]
+        assert np.array_equal(basis, np.arange(1, prob.nvars))
 
     def test_zero_weight_point(self, rng):
         # a point no coupling can load is dropped: the bound is that of the
@@ -263,28 +264,61 @@ def direct_relaxation(X, Y, level):
         return assemble_relaxation(X, Y, level=level)
 
 
+def equidistant():
+    """Eight points at mutual distance 1: 8! isometries, more than found."""
+    return MetricMeasureSpace(labels=list("abcdefgh"), dist=1.0 - np.eye(8),
+                              weights=np.full(8, 1 / 8))
+
+
+def symmetric_cases():
+    """(X, Y, level) of every symmetric pair the reduction is tested on."""
+    return ([(LINES[m], LINES[n], level)
+             for m, n in [(2, 2), (2, 3), (3, 3), (3, 4)] for level in (1, 2)]
+            + [(square(), LINES[3], 1), (square(), LINES[3], 2),
+               (*concentration_pair(), 1), (equidistant(), LINES[2], 1)])
+
+
+def t_rows(info, X, Y):
+    """Rows of the pi-basis at the t-monomials, as the hierarchy reads them."""
+    k = (X.size - 1) * (Y.size - 1)
+    tbasis = mom.get_basis(k, 2 * info.level)
+    grid = np.arange(X.size * Y.size).reshape(X.size, Y.size)[:-1, :-1]
+    t_exps = np.zeros((len(tbasis), X.size * Y.size), dtype=np.int64)
+    t_exps[:, grid.ravel()] = tbasis.exponents
+    return info.basis.index_rows(t_exps)
+
+
 def assert_reduced_free_exact(X, Y, level):
-    """The reduced affine set is the invariant part of the assembled one."""
+    """The reduced affine set is the invariant part of the assembled one.
+
+    Symmetric pairs are stated over y = (1, z), with the t-moments
+    w = W y for W = [w0, N] (``RelaxationInfo.reduced``).
+    """
     prob, info = assemble_relaxation(X, Y, level=level)
-    offset, basis = prob.free
+    W = info.reduced
+    offset, basis = W[:, 0], W[:, 1:]
+    nt = len(W)
+    assert prob.nvars == W.shape[1]
+    assert np.array_equal(prob.free[0], np.eye(1, prob.nvars)[0])
+    assert np.array_equal(prob.free[1], np.arange(1, prob.nvars))
     assert offset[0] == 1.0
     assert np.abs(basis[0]).max(initial=0.0) <= 1e-14
+    # N is orthonormal as built
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(
+        initial=0.0) <= 1e-12
     perms = _entry_permutations(isometries(X), isometries(Y))
     mono = [info.basis.index_rows(info.basis.exponents[:, np.argsort(perm)])
             for perm in perms]
     # every direction lifts to pi-moments that the permutations keep
-    lifted = info.lift @ np.column_stack([offset, basis])
+    lifted = info.lift @ W
     for g in mono:
         assert np.abs(lifted[g] - lifted).max() <= 1e-12
     # and the invariant w with w_0 = 0 are all spanned: the action of g
     # on t-moments is A_g = lift[g] read at the t-monomials
-    grid = np.arange(X.size * Y.size).reshape(X.size, Y.size)[:-1, :-1]
-    t_exps = np.zeros((prob.nvars, X.size * Y.size), dtype=np.int64)
-    t_exps[:, grid.ravel()] = mom.get_basis(grid.size, 2 * level).exponents
-    ul = info.basis.index_rows(t_exps)
-    D = np.vstack([info.lift[g][ul][:, 1:] - np.eye(prob.nvars)[:, 1:]
+    ul = t_rows(info, X, Y)
+    D = np.vstack([info.lift[g][ul][:, 1:] - np.eye(nt)[:, 1:]
                    for g in mono])
-    dim = prob.nvars - 1 - np.linalg.matrix_rank(D)
+    dim = nt - 1 - np.linalg.matrix_rank(D)
     assert basis.shape[1] == dim
     assert np.linalg.matrix_rank(basis) == dim
 
@@ -316,9 +350,7 @@ class TestSymmetryReduction:
 
     def test_capped_search_still_exact(self):
         # the equidistant space has 8! isometries; the search finds some
-        space = MetricMeasureSpace(labels=list("abcdefgh"),
-                                   dist=1.0 - np.eye(8),
-                                   weights=np.full(8, 1 / 8))
+        space = equidistant()
         found = len(isometries(space))
         assert 1 < found < 40320
         assert_reduction_exact(space, LINES[2], 1, 2 * found)
@@ -329,7 +361,7 @@ class TestSymmetryReduction:
                                    weights=np.ones(1))
         for level in (1, 2):
             reduced, _ = assemble_relaxation(LINES[2], point, level=level)
-            assert reduced.free[1].shape == (reduced.nvars, 0)
+            assert reduced.free[1].shape == (0,)
             res = assert_reduction_exact(LINES[2], point, level, 2)
             assert res.raw_objective == pytest.approx(0.5, abs=1e-12)
             assert res.iterations == 0
@@ -351,18 +383,95 @@ class TestSymmetryReduction:
         # reflections: {01, 23}, {02, 13} and {03, 12}
         assert info.symmetries == 4
         assert sum(len(blk.const) for blk in direct.blocks) == 7
-        assert info.block_labels == ("moment", "loc[0,1]", "loc[0,2]",
-                                     "loc[0,3]")
+        subsets = [what for _, what in info.parts
+                   if isinstance(what, np.ndarray)]
+        assert np.concatenate(subsets).tolist() == [[0, 1], [0, 2], [0, 3]]
+        # M_1 over (1, t) splits into two 1x1 blocks, which join the LP rows
+        assert _block_labels(info.parts) == [
+            "moment[+,+]", "moment[-,-]", "loc[0,1]", "loc[0,2]", "loc[0,3]"]
+        assert [blk.const.shape for blk in reduced.blocks] == [(5, 1, 1)]
 
     def test_optimum_independent_of_reduced_basis(self):
-        reduced, _ = assemble_relaxation(LINES[3], LINES[4], level=2)
-        offset, basis = reduced.free
-        rot = np.linalg.qr(np.random.default_rng(7).normal(
-            size=(basis.shape[1],) * 2))[0]
-        rotated = dataclasses.replace(reduced, free=(offset, basis @ rot))
-        a, b = sdp.solve(reduced), sdp.solve(rotated)
+        # another orthonormal basis of the invariant directions states
+        # another problem with the same optimum
+        orbits_and_basis = hierarchy.reduce_by_symmetry
+
+        def rotated(*args):
+            orbit, N = orbits_and_basis(*args)
+            rot = np.linalg.qr(np.random.default_rng(7).normal(
+                size=(N.shape[1],) * 2))[0]
+            return orbit, N @ rot
+
+        a = gw_lower_bound(LINES[3], LINES[4], level=2)
+        with mock.patch.object(hierarchy, "reduce_by_symmetry", rotated):
+            b = gw_lower_bound(LINES[3], LINES[4], level=2)
         assert a.status == b.status == "optimal"
-        assert abs(a.objective_value - b.objective_value) <= 1e-6
+        assert abs(a.raw_objective - b.raw_objective) <= 1e-6
+
+    @pytest.mark.parametrize("case", range(len(symmetric_cases())))
+    def test_isotypic_blocks(self, case):
+        # each Q_s spans the joint eigenspace of signs s of the T_g', its
+        # size is the trace of P_s, the sizes add up to that of M_r, and
+        # for the offset and every basis direction the blocks between two
+        # components vanish
+        X, Y, level = symmetric_cases()[case]
+        _, info = assemble_relaxation(X, Y, level=level)
+        k = (X.size - 1) * (Y.size - 1)
+        d = mom.basis_size(k, level)
+        rows = t_rows(info, X, Y)
+        perms = hierarchy._involutions(isometries(X), isometries(Y))
+        assert perms
+        split = hierarchy._isotypic_split(info.basis, info.lift, rows, d,
+                                          perms)
+        exps = info.basis.exponents[rows[:d]]
+        Ts = [info.lift[info.basis.index_rows(exps[:, g]), :d].T
+              for g in perms]
+        for signs, Q in split:
+            P = np.eye(d)
+            for s, T in zip(signs, Ts):
+                assert np.abs(T @ Q - s * Q).max() <= 1e-12
+                P = P @ (np.eye(d) + s * T) / 2
+            assert len(Q.T) == pytest.approx(np.trace(P), abs=1e-9)
+        assert sum(len(Q.T) for _, Q in split) == d
+        texps = mom.get_basis(k, 2 * level).exponents[:d].astype(np.int64)
+        shift = mom.get_basis(k, 2 * level).index_rows(
+            texps[:, None] + texps[None]).reshape(d, d)
+        M = info.reduced[shift].transpose(2, 0, 1)
+        for (_, Q1), (_, Q2) in itertools.combinations(split, 2):
+            assert np.abs(Q1.T @ M @ Q2).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", range(len(symmetric_cases())))
+    def test_invariant_rank_is_the_svd_rank(self, case):
+        # the rank from eigh of the scaled Gram matrix is that of one SVD
+        # of the orbit means of L at the t-orbits, cut at max(shape) * eps
+        X, Y, level = symmetric_cases()[case]
+        _, info = assemble_relaxation(X, Y, level=level)
+        perms = _entry_permutations(isometries(X), isometries(Y))
+        mono = [info.basis.index_rows(info.basis.exponents[:, np.argsort(g)])
+                for g in perms]
+        orbit = np.unique(hierarchy._orbit_labels(mono),
+                          return_inverse=True)[1]
+        sums = np.zeros((orbit.max() + 1, info.nvars - 1))
+        np.add.at(sums, orbit, info.lift[:, 1:])
+        mean = sums / np.bincount(orbit)[:, None]
+        A = mean[np.unique(orbit[t_rows(info, X, Y)])]
+        sv = np.linalg.svd(A, compute_uv=False)
+        rank = int((sv > max(A.shape) * np.finfo(float).eps * sv[0]).sum())
+        assert info.reduced.shape[1] - 1 == rank
+
+    def test_split_problem_reruns_bit_identical(self):
+        X, Y = square(), LINES[3]
+        first, again = (assemble_relaxation(X, Y, level=2)[0]
+                        for _ in range(2))
+        assert np.array_equal(first.objective, again.objective)
+        for a, b in zip(first.blocks, again.blocks):
+            for name in ("const", "var_idx", "cells", "vals"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        a, b = (gw_lower_bound(X, Y, level=2) for _ in range(2))
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert a.raw_objective == b.raw_objective
+        assert np.array_equal(a.moments, b.moments)
 
     def test_trivial_group_solves_the_assembled_problem(self, rng):
         X, Y = random_space(rng, 3), random_space(rng, 2)

@@ -1,11 +1,11 @@
-import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import linalg, sparse
 
-from gwsos import assemble_relaxation, sdp
+from gwsos import assemble_relaxation, hierarchy, sdp
 
 from conftest import random_space
 
@@ -17,7 +17,7 @@ def analytic_problem():
                        cells=np.array([1, 2]),
                        vals=np.array([1.0, 1.0]))
     return sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                          free=([0.0], np.eye(1)), blocks=[blk])
+                          free=([0.0], [0]), blocks=[blk])
 
 
 class TestAnalyticInstances:
@@ -34,7 +34,7 @@ class TestAnalyticInstances:
                            cells=np.array([0]),
                            vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
-                              free=([0.0], np.eye(1)), blocks=[blk])
+                              free=([0.0], [0]), blocks=[blk])
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.y[0] == pytest.approx(2.0, abs=1e-6)
@@ -45,7 +45,7 @@ class TestAnalyticInstances:
                            var_idx=np.array([0]), cells=np.array([0]),
                            vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([1.0]),
-                              free=([3.0], np.zeros((1, 0))), blocks=[blk])
+                              free=([3.0], np.arange(0)), blocks=[blk])
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.y[0] == pytest.approx(3.0, abs=1e-9)
@@ -56,7 +56,7 @@ class TestAnalyticInstances:
                            var_idx=np.array([0]), cells=np.array([0]),
                            vals=np.array([1.0]))
         prob = sdp.SdpProblem(nvars=1, objective=np.array([-1.0]),
-                              free=([0.0], np.eye(1)), blocks=[blk])
+                              free=([0.0], [0]), blocks=[blk])
         sol = sdp.solve(prob, max_iter=60)
         assert sol.status != "optimal"
 
@@ -78,14 +78,14 @@ class TestSolveMany:
         problems = relaxations + [
             analytic_problem(),
             # unbounded: min -y_0 with y_0 >= 0 only
-            lp_problem([-1.0], 0.0, ([0.0], np.eye(1))),
+            lp_problem([-1.0], 0.0, ([0.0], [0])),
             # min y_0 with y_0 >= -2: optimal
-            lp_problem([1.0], 2.0, ([0.0], np.eye(1))),
+            lp_problem([1.0], 2.0, ([0.0], [0])),
             # y_0 is fixed and y_1 appears in no block, so the Schur
             # matrix is zero and its factorization fails
-            lp_problem([0.0, 1.0], 1.0, (np.zeros(2), np.eye(2)[:, 1:])),
+            lp_problem([0.0, 1.0], 1.0, (np.zeros(2), [1])),
             # nothing free: y = 3 is checked, not solved for
-            lp_problem([1.0], 0.0, ([3.0], np.zeros((1, 0)))),
+            lp_problem([1.0], 0.0, ([3.0], np.arange(0))),
         ]
         assert len({sdp._shape(p) for p in problems}) == 4
         solo = [sdp.solve(p, max_iter=60) for p in problems]
@@ -121,8 +121,7 @@ class TestDeterminism:
     def test_bit_identical_reruns_with_stacks(self, rng):
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
-        N = sdp._free_basis(prob)
-        lp_g0, _, G0s, _ = sdp._stack_blocks(prob.blocks, prob.free[0], N)
+        lp_g0, _, G0s, _ = sdp._stack_blocks(prob.blocks, *prob.free)
         assert len(lp_g0) == 126
         assert [G0.shape for G0 in G0s] == [(1, 15, 15), (36, 5, 5)]
         first, again = sdp.solve(prob), sdp.solve(prob)
@@ -140,12 +139,11 @@ def _random_pd_stack(rng, k, d):
 class TestStacks:
     def test_stacked_data_matches_each_block(self, rng):
         # block by block, each entry is const + sum of vals * y[var_idx]
-        # over the triplets of its cell, at y_p and along each column of
-        # N, over the block's scale
+        # over the triplets of its cell, at y_p and along each free
+        # coordinate N, over the block's scale
         prob, _ = assemble_relaxation(random_space(rng, 3),
                                       random_space(rng, 3), level=2)
-        y_p = prob.free[0]
-        N = sdp._free_basis(prob)
+        y_p, N = prob.free
         lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(prob.blocks, y_p, N)
         got = {1: (lp_g0[:, None, None], lp_G[:, None, None, :])}
         for G0, G in zip(G0s, Gs):
@@ -171,7 +169,7 @@ class TestStacks:
         blk = analytic_problem().blocks[0]
         with pytest.raises(ValueError, match="one per size"):
             sdp.SdpProblem(nvars=1, objective=[-1.0],
-                           free=([0.0], np.eye(1)), blocks=[blk, blk])
+                           free=([0.0], [0]), blocks=[blk, blk])
 
     def test_max_step_is_least_generalized_eigenvalue(self, rng):
         M = _random_pd_stack(rng, 6, 4)
@@ -203,7 +201,7 @@ class TestStacks:
                 by_size.setdefault(blocks[i][0], []).append(blocks[i][1:])
             return sdp.solve(sdp.SdpProblem(
                 nvars=nvars, objective=c,
-                free=(np.zeros(nvars), np.eye(nvars)),
+                free=(np.zeros(nvars), np.arange(nvars)),
                 blocks=[_record(d, group) for d, group in by_size.items()]))
 
         assert [blocks[i][0] for i in range(5)] == [3, 1, 2, 3, 2]
@@ -238,20 +236,19 @@ def _random_record(rng, k, d, nvars, ntrip):
 
 
 class TestKernels:
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_stacking_matches_sparse_reference(self, rng, dense):
+    def test_stacking_matches_sparse_reference(self, rng):
         nvars = 7
         blocks = [_random_record(rng, 3, 4, nvars, 40),
                   _random_record(rng, 5, 1, nvars, 12),
                   _random_record(rng, 2, 2, nvars, 10)]
         assert len(np.unique(blocks[0].cells)) < blocks[0].const.size
         y_p = rng.normal(size=nvars)
-        N = rng.normal(size=(nvars, 4)) if dense else np.array([1, 2, 4, 6])
+        N = np.array([1, 2, 4, 6])
         lp_g0, lp_G, G0s, Gs = sdp._stack_blocks(blocks, y_p, N)
         got = {1: (lp_g0[:, None, None], lp_G.T[:, :, None, None])}
         for G0, G in zip(G0s, Gs):
             got[G0.shape[-1]] = (G0, G)
-        Nd = N if dense else np.eye(nvars)[:, N]
+        Nd = np.eye(nvars)[:, N]
         for blk in blocks:
             k, d, _ = blk.const.shape
             A = sparse.csr_array((blk.vals, (blk.cells, blk.var_idx)),
@@ -294,16 +291,29 @@ class TestKernels:
             assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_free_coordinates_match_an_explicit_basis(self, rng):
-        # without isometries the free set is w[1:]; the same set as a
-        # dense basis goes through the QR and the dense stacking
-        prob, info = assemble_relaxation(random_space(rng, 3),
-                                         random_space(rng, 3), level=2)
+        # without isometries the free set is w[1:]; the same set as the
+        # explicit basis W = [w0, I[:, 1:]] gives the problem restated in
+        # its coordinates y = (1, z), as symmetric pairs are, with dense
+        # triplets and the constants in const
+        X, Y = random_space(rng, 3), random_space(rng, 3)
+        prob, info = assemble_relaxation(X, Y, level=2)
         assert info.symmetries == 1
         offset, coords = prob.free
         assert np.array_equal(coords, np.arange(1, prob.nvars))
-        dense = dataclasses.replace(
-            prob, free=(offset, np.eye(prob.nvars)[:, coords]))
-        a, b = sdp.solve(prob), sdp.solve(dense)
+        W = np.eye(prob.nvars)
+        W[:, 0] = offset
+        with mock.patch.object(hierarchy, "isometries",
+                               lambda space: [np.arange(space.size)] * 2), \
+                mock.patch.object(hierarchy, "reduce_by_symmetry",
+                                  lambda *args: (None, W[:, 1:])), \
+                mock.patch.object(hierarchy, "_isotypic_split",
+                                  lambda *args: [((), np.eye(args[3]))]):
+            restated, _ = assemble_relaxation(X, Y, level=2)
+        assert np.array_equal(restated.free[0], np.eye(1, prob.nvars)[0])
+        assert np.array_equal(restated.free[1], coords)
+        assert [blk.dim for blk in restated.blocks] == \
+            [blk.dim for blk in prob.blocks]
+        a, b = sdp.solve(prob), sdp.solve(restated)
         assert a.status == b.status == "optimal"
         assert a.iterations == b.iterations
         assert abs(a.objective_value - b.objective_value) <= 1e-12
@@ -362,6 +372,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="distinct integers"):
             sdp.SdpProblem(nvars=2, objective=[1.0, 0.0], blocks=[],
                            free=([1.0, 0.0], np.array(coords)))
+
+    def test_dense_basis_refused(self, tmp_path):
+        # the solver reads free coordinates only; a dump of a dense basis
+        # (the form the solver used to orthonormalize) is refused by name
+        path = tmp_path / "prob.json"
+        sdp.dump_problem(analytic_problem(), path)
+        doc = json.loads(path.read_text())
+        doc["free"] = {"offset": [0.0], "basis": [[1.0]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'basis'"):
+            sdp.load_problem(path)
+        with pytest.raises(ValueError, match="1-D"):
+            sdp.SdpProblem(nvars=1, objective=[-1.0], blocks=[],
+                           free=([0.0], np.eye(1)))
 
     def test_dump_without_free_refused(self, tmp_path):
         path = tmp_path / "prob.json"
