@@ -27,7 +27,14 @@ Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
 and dual iterates move by one common step length, as in the infeasible
 IPM of Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let
 the primal step collapse while the dual one stays long, and the solve
-can stall.  It stops when the primal and dual residuals are below
+can stall.  After a long predictor step Mehrotra's sigma is tiny, the
+corrector's second-order term can dominate its direction, and its step
+falls far below the predictor's.  So the corrector is safeguarded, after
+Salahi, Peng & Terlaky (SIAM J. Optim. 2007): a problem whose corrector
+step is below ``_SHORT_CORRECTOR`` times its predictor step takes the
+direction at the same target sigma * mu without the second-order terms
+wherever that one goes further.
+It stops when the primal and dual residuals are below
 ``FEAS_TOL`` and the gap relative to the objective in the caller's units
 is below ``GAP_TOL``, or after ``max_iter`` iterations.  Each iteration
 factors every S and X block once by Cholesky; the factors and their
@@ -72,6 +79,11 @@ GAP_TOL = 1e-7   # gap relative to the objective at the stop
 DEFAULT_MAX_ITER = 200
 
 _STEP_FRACTION = 0.98
+# A corrector step below this share of the predictor's falls back to the
+# uncorrected direction where that goes further.  On criterion 8's 16x4
+# pair the solve takes 19 iterations at 0.8, 0.85 and 0.9, and 25 at 0.5
+# and at 1.0 (35 without the safeguard).
+_SHORT_CORRECTOR = 0.9
 _GROUP_BYTES = 1 << 18  # coefficients per congruence call in _schur
 _SOLVE_BLOCK = 64  # rows per diagonal block of the Schur factor's solve
 
@@ -698,10 +710,10 @@ def _lockstep(problems, shape, max_iter):
 
         # predictor
         dz, dS, dX, ds_lp, dx_lp = directions(np.zeros(B))
-        a = step_length(dS, dX, ds_lp, dx_lp)
-        a4 = _per_problem(a, 4)
-        gap_aff = _dot(st.x_lp + a[:, None] * dx_lp,
-                       st.s_lp + a[:, None] * ds_lp)
+        a_aff = step_length(dS, dX, ds_lp, dx_lp)
+        a4 = _per_problem(a_aff, 4)
+        gap_aff = _dot(st.x_lp + a_aff[:, None] * dx_lp,
+                       st.s_lp + a_aff[:, None] * ds_lp)
         for s in range(nst):
             gap_aff = gap_aff + _dot(st.X[s] + a4 * dX[s],
                                      st.S[s] + a4 * dS[s])
@@ -714,6 +726,15 @@ def _lockstep(problems, shape, max_iter):
         # corrector (reuses the factored Schur system)
         step = directions(sigma * st.mu, corr, dx_lp * ds_lp)
         a = step_length(*step[1:])
+        short = a < _SHORT_CORRECTOR * a_aff
+        if short.any():
+            # the second-order term dominates: those problems take the
+            # direction at the same target without it where it goes further
+            plain = directions(sigma * st.mu)
+            a_plain = step_length(*plain[1:])
+            longer = short & (a_plain > a)
+            a = np.where(longer, a_plain, a)
+            step = [_pick(longer, p, d) for p, d in zip(plain, step)]
         weak = a < 0.05
         if weak.any():
             # poor centrality: those problems take a pure centering step

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gwsos import MetricMeasureSpace
+from gwsos.geometry import concentrate_space, partition_from_cells
 
 
 def random_space(rng, size, diameter=1.0):
@@ -20,6 +21,17 @@ def random_space(rng, size, diameter=1.0):
     w = w / w.sum()
     return MetricMeasureSpace(labels=[f"p{i}" for i in range(size)],
                               dist=dist, weights=w)
+
+
+def concentration_pair():
+    """Criterion 8's pair: 16 interval midpoints, their 4-cell coarsening."""
+    pts = (np.arange(16) + 0.5) / 16
+    fine = MetricMeasureSpace(labels=[f"t{i}" for i in range(16)],
+                              dist=np.abs(pts[:, None] - pts[None, :]),
+                              weights=np.full(16, 1 / 16))
+    cells = [tuple(range(4 * k, 4 * k + 4)) for k in range(4)]
+    part = partition_from_cells(fine, cells, [1, 5, 9, 13])
+    return fine, concentrate_space(fine, part)
 
 
 def random_tree_space(rng, size, diameter=1.0):

@@ -13,12 +13,11 @@ from gwsos import (MetricMeasureSpace, ValidationError, assemble_relaxation,
 from gwsos import hierarchy, sdp
 from gwsos import moments as mom
 from gwsos.cli import _block_labels
-from gwsos.geometry import concentrate_space, partition_from_cells
 from gwsos.hierarchy import _entry_permutations
 from gwsos.oracle import _affine_parametrization
 from gwsos.spaces import isometries
 
-from conftest import random_space
+from conftest import concentration_pair, random_space
 
 
 class TestAssembly:
@@ -247,14 +246,6 @@ def square():
     return MetricMeasureSpace(
         labels=list("abcd"), weights=np.full(4, 0.25),
         dist=np.abs(corners[:, None] - corners[None]).sum(axis=-1))
-
-
-def concentration_pair():
-    """16 interval midpoints against their 4-cell coarsening."""
-    fine = line(*((np.arange(16) + 0.5) / 16))
-    cells = [tuple(range(4 * k, 4 * k + 4)) for k in range(4)]
-    part = partition_from_cells(fine, cells, [1, 5, 9, 13])
-    return fine, concentrate_space(fine, part)
 
 
 def direct_relaxation(X, Y, level):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from gwsos import (MetricMeasureSpace, ValidationError, brute_force_gw,
                    ground_circle, ground_finite, ground_interval,
                    ground_mixture, gw_lower_bound, merge_coincident_points,
                    rate_bound, sample_empirical, transport_upper_bound)
-from gwsos.sampling import (cost_profile, empirical_weights,
-                            level_discrepancy)
+from gwsos import sampling
+from gwsos.sampling import _atom_weights, cost_profile, level_discrepancy
 
 from conftest import random_space
 
@@ -61,9 +62,9 @@ class TestGroundDistributions:
     def test_empirical_weights_match_draw(self):
         gd = four_point_ground()
         n, seed = 50, 3
-        w = empirical_weights(gd, n, seed)
-        assert w.sum() == pytest.approx(1.0)
         idx = gd.sample_indices(n, seed)
+        w = _atom_weights(gd, idx)
+        assert w.sum() == pytest.approx(1.0)
         assert np.array_equal(w, np.bincount(idx, minlength=4) / n)
 
     def test_sample_size_validated(self):
@@ -120,7 +121,7 @@ class TestTransportBound:
         part = build_dyadic_partition(gd.space, k_star=3)
         for seed in range(5):
             n = 8
-            emp_w = empirical_weights(gd, n, seed)
+            emp_w = _atom_weights(gd, gd.sample_indices(n, seed))
             emp = MetricMeasureSpace(labels=gd.space.labels,
                                      dist=gd.space.dist, weights=emp_w)
             true = brute_force_gw(gd.space, emp, p=1, q=1).value
@@ -189,10 +190,27 @@ class TestConsistencyExperiment:
             values = [gw_lower_bound(ground.space, merge_coincident_points(
                 sample_empirical(ground, n, 9 + t))).value for t in range(3)]
             tbounds = [transport_upper_bound(
-                empirical_weights(ground, n, 9 + t), ground.space.weights,
-                part, 1.0, 1.0) for t in range(3)]
+                _atom_weights(ground, ground.sample_indices(n, 9 + t)),
+                ground.space.weights, part, 1.0, 1.0) for t in range(3)]
             assert mean == pytest.approx(np.mean(values), rel=0, abs=1e-12)
             assert tmean == np.mean(tbounds)
+
+    def test_only_optimal_trials_give_values(self, monkeypatch):
+        config = {"ground": four_point_ground(), "sizes": [4], "trials": 3,
+                  "seed": 9}
+        base = consistency_experiment(dict(config))
+        real, solved = sampling.gw_lower_bounds, []
+
+        def first_capped(pairs, **kwargs):
+            solved.extend(real(pairs, **kwargs))
+            return ([dataclasses.replace(solved[0], status="max_iterations")]
+                    + solved[1:])
+
+        monkeypatch.setattr(sampling, "gw_lower_bounds", first_capped)
+        report = consistency_experiment(dict(config))
+        assert report.failures == base.failures + 1
+        assert report.means[0] == pytest.approx(
+            np.mean([r.value for r in solved[1:]]), rel=0, abs=1e-15)
 
     def test_partition_built_once_per_experiment(self):
         # the depth cap warns each time the partition is built

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import linalg, sparse
 
-from gwsos import assemble_relaxation, hierarchy, sdp
+from gwsos import (MetricMeasureSpace, assemble_relaxation, gw_lower_bound,
+                   hierarchy, sdp)
 
-from conftest import random_space
+from conftest import concentration_pair, random_space
 
 
 def analytic_problem():
@@ -99,6 +100,44 @@ class TestSolveMany:
                 assert sol.status == solo[i].status
                 assert sol.iterations == solo[i].iterations
                 assert np.allclose(sol.y, solo[i].y, rtol=0, atol=1e-9)
+
+
+def relabelled(space, perm):
+    return MetricMeasureSpace(labels=[space.labels[i] for i in perm],
+                              dist=space.dist[np.ix_(perm, perm)],
+                              weights=space.weights[perm])
+
+
+class TestCorrectorSafeguard:
+    def test_concentration_pair_iteration_ceiling(self):
+        # an unguarded corrector takes 35 iterations here with one BLAS
+        # thread and 20 with two; the safeguard takes 19 with either
+        res = gw_lower_bound(*concentration_pair(), level=1)
+        assert res.status == "optimal"
+        assert res.iterations <= 22
+        assert res.value == pytest.approx(0.078125, rel=0, abs=1e-6)
+
+    def test_lockstep_equals_solo_when_rows_choose_apart(self):
+        fine, coarse = concentration_pair()
+        rng = np.random.default_rng(1)
+        spaces = [fine] + [relabelled(fine, rng.permutation(16))
+                           for _ in range(3)]
+        problems = [assemble_relaxation(X, coarse, level=1)[0]
+                    for X in spaces]
+        assert len({sdp._shape(p) for p in problems}) == 1
+        solo = [sdp.solve(p) for p in problems]
+        with mock.patch.object(sdp, "_pick", wraps=sdp._pick) as pick:
+            sols = sdp.solve_many(problems)
+        # the rows took the uncorrected direction on different iterations
+        # (the centering fallback, the other per-row pick, does not fire
+        # on these four)
+        masks = {tuple(c.args[0].tolist()) for c in pick.call_args_list}
+        assert len({m for m in masks if 0 < sum(m) < len(m)}) >= 2
+        for sol, alone in zip(sols, solo):
+            assert alone.status == "optimal"
+            assert sol.status == alone.status
+            assert sol.iterations == alone.iterations
+            assert np.allclose(sol.y, alone.y, rtol=0, atol=1e-9)
 
 
 class TestFreeCoordinates:
