@@ -16,7 +16,12 @@ The substitution map L takes t-moments to pi-moments, y = L w: row e_I
 holds the t-coefficients of prod_{v in I} pi_v(t), the objective is
 L^T c, and a solution reports its pi-moments L w.  Moments of couplings
 satisfy every constraint, so each level is a lower bound, and levels are
-monotone.
+monotone.  L is mostly zeros (0.85% nonzero at 16x4 level 1, 2% at 4x5
+level 2), so it is held as sparse rows (:class:`SparseRows`) and never
+as a dense matrix.  Its pattern, and which entries of a row's parent
+feed each entry, depend on the shape alone, so they are planned once per
+(m, n, level) (:func:`_substitution_plan`) and a pair only sums the
+planned terms with its weights.
 
 Zero-weight points carry no mass under any coupling and are dropped
 first; their moments are reported as zeros.  Kept, their entries would
@@ -48,6 +53,7 @@ lie in that subgroup.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -72,32 +78,89 @@ class RelaxationInfo:
     # (count, 2h) array of entries among all m*n
     parts: tuple
     basis: mom.MonomialBasis  # pi-monomials of degree <= 2r
-    lift: np.ndarray          # the pi-moments are lift @ w
+    # the pi-moments are lift @ w: L's sparse rows, placed at the rows of
+    # all m*n entries' monomials when zero-weight points were dropped
+    lift: SparseRows
     # symmetric pairs: W = [w0, N], with w = W y for the solution y = (1, z)
     reduced: np.ndarray | None
     symmetries: int           # coupling-entry permutations the problem used
 
 
-def _substitution_map(basis, mu, nu):
-    """Matrix L with y = L w for pi = base + B^T t (oracle's parametrization).
+@dataclasses.dataclass(frozen=True)
+class SparseRows:
+    """A matrix held by rows: row i has the values vals[indptr[i]:indptr[i+1]]
+    in the columns cols[indptr[i]:indptr[i+1]], ascending.
 
-    Row g holds the coefficients of the polynomial pi(t)^g over the
-    t-monomials up to the basis degree 2r, so the moments of any measure
-    on t map to those of its pushforward.  Rows are filled in graded
-    order: with v the first variable of g, pi^g = pi_v(t) * pi^(g - e_v),
-    and multiplying by the affine form b0_v + sum_u B[u, v] t_u is one
-    scale plus one scatter of the shifts by the u with B[u, v] != 0.
-    Column 0 is the Dirac measure at t = 0 and the others span the
-    solutions of the marginal identities with y_0 = 0.
+    Values may be exact zeros where the pattern has an entry.
     """
-    base, B = _affine_parametrization(mu, nu)
-    b0 = base.ravel()
-    k = len(B)
-    if k == 0:  # a one-point space: the coupling is fixed
-        return mom.point_moments(basis, b0)[:, None]
-    B = B.reshape(k, basis.nvars)
-    tbasis = mom.get_basis(k, basis.maxdeg)
-    low = tbasis.exponents[tbasis.degrees < basis.maxdeg].astype(np.int64)
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    def gather(self, rows):
+        """(which, cols, vals) of the entries of the given rows, in order;
+        which[e] is the position in ``rows`` of entry e's row."""
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        at = _ranges(start, count)
+        return (np.repeat(np.arange(len(count)), count), self.cols[at],
+                self.vals[at])
+
+    def dense(self, rows, width):
+        """The given rows as a dense (len(rows), width) array; every entry of
+        those rows must lie in the first ``width`` columns."""
+        which, cols, vals = self.gather(rows)
+        out = np.zeros((len(rows), width))
+        out[which, cols] = vals
+        return out
+
+    def __matmul__(self, x):
+        """The product with a vector x."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.vals * x[self.cols],
+                           minlength=self.shape[0])
+
+
+def _ranges(start, count):
+    """The ranges start[i], ..., start[i] + count[i] - 1, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                              count)
+
+
+@functools.lru_cache(maxsize=64)
+def _substitution_plan(m, n, maxdeg):
+    """Pattern of L for an m x n pair up to degree maxdeg, and how to fill it.
+
+    Rows are filled in graded order: with v the first variable of g,
+    pi^g = pi_v(t) * pi^(g - e_v), and pi_v(t) = b0_v + sum_u B[u, v] t_u.
+    B has entries in {0, +-1} that depend on the shape alone, and b0_v is
+    exactly 0 on the upper-left block, so which parent entries feed each
+    entry of g, and by which factor, depends on (m, n, maxdeg) only.
+    Returns (indptr, cols, terms); the terms of degree d are (src, tgt,
+    fac, (lo, hi)): entry lo + tgt[e] receives factor[fac[e]] *
+    vals[src[e]], where factor is b0 followed by 1 and -1.  Each entry's
+    terms come in the dense recurrence's order, the b0 term first, then
+    the shifts by ascending u, so L is bit for bit what a dense build
+    gives.
+    """
+    nvars, k = m * n, (m - 1) * (n - 1)
+    basis, tbasis = mom.get_basis(nvars, maxdeg), mom.get_basis(k, maxdeg)
+    nt = len(tbasis)
+    B = _affine_parametrization(np.ones(m), np.ones(n))[1].reshape(k, nvars)
+    # the terms of pi_v in the order they are summed, as (order key, u or
+    # -1, index into factor): b0_v unless v is on the upper-left block,
+    # then t_u by ascending u
+    upper_left = np.zeros((m, n), dtype=bool)
+    upper_left[:-1, :-1] = True
+    opts = [[(0, -1, v)] * (not upper_left.flat[v]) +
+            [(1 + u, u, nvars + (B[u, v] < 0))
+             for u in np.flatnonzero(B[:, v])]
+            for v in range(nvars)]
+    opt_ptr = np.cumsum([0] + [len(o) for o in opts])
+    opt_key, opt_u, opt_fac = np.array(sum(opts, []), dtype=np.int64).T
+    low = tbasis.exponents[tbasis.degrees < maxdeg].astype(np.int64)
     shifts = tbasis.index_rows(
         low + np.eye(k, dtype=np.int64)[:, None]).reshape(k, len(low))
     # monomial g past the constant: its first variable and g - e_v
@@ -105,20 +168,66 @@ def _substitution_map(basis, mu, nu):
     first = np.argmax(exps > 0, axis=1)
     exps[np.arange(len(exps)), first] -= 1
     parent = basis.index_rows(exps)
-    L = np.zeros((len(basis), len(tbasis)))
-    L[0, 0] = 1.0
-    for d in range(1, basis.maxdeg + 1):
-        # the rows of degree d, filled in place: first with their parents
-        lo, hi = (mom.basis_size(basis.nvars, e) for e in (d - 1, d))
-        new = L[lo:hi]
-        v = first[lo - 1:hi - 1]
-        np.take(L, parent[lo - 1:hi - 1], axis=0, out=new, mode="clip")
-        r, u = np.nonzero(B[:, v].T)
-        width = mom.basis_size(k, d - 1)  # the parents have degree d - 1
-        shifted = B[u, v[r], None] * new[r, :width]
-        new *= b0[v, None]
-        np.add.at(new, (r[:, None], shifts[u, :width]), shifted)
-    return L
+    indptr = np.zeros(len(basis) + 1, dtype=np.int64)
+    indptr[1] = 1
+    cols, terms = [np.zeros(1, dtype=np.int32)], []
+    for d in range(1, maxdeg + 1):
+        lo, hi = (mom.basis_size(nvars, e) for e in (d - 1, d))
+        p, v = parent[lo - 1:hi - 1], first[lo - 1:hi - 1]
+        # one pair per (row, parent entry), then one term per pair and option
+        count = indptr[p + 1] - indptr[p]
+        row = np.repeat(np.arange(hi - lo), count)
+        src = _ranges(indptr[p], count)
+        nopt = (opt_ptr[v + 1] - opt_ptr[v])[row]
+        pair = np.repeat(np.arange(len(row)), nopt)
+        o = _ranges(opt_ptr[v][row], nopt)
+        row, src = row[pair], src[pair]
+        col = np.concatenate(cols)[src]
+        col = np.where(opt_u[o] < 0, col, shifts[opt_u[o], col])
+        key = (row * nt + col) * (k + 1) + opt_key[o]
+        order = np.argsort(key)
+        entry = key[order] // (k + 1)
+        new = np.concatenate([[True], entry[1:] != entry[:-1]])
+        entry = entry[new]
+        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(
+            np.bincount(entry // nt, minlength=hi - lo))
+        cols.append((entry % nt).astype(np.int32))
+        terms.append((src[order].astype(np.int32),
+                      (np.cumsum(new) - 1).astype(np.int32),
+                      opt_fac[o][order].astype(np.int16),
+                      (indptr[lo], indptr[hi])))
+    cols = np.concatenate(cols)
+    # every map of this shape shares these arrays
+    for a in (indptr, cols, *(a for t in terms for a in t[:3])):
+        a.setflags(write=False)
+    return indptr, cols, terms
+
+
+def _substitution_map(basis, mu, nu):
+    """Sparse rows of the matrix L with y = L w for pi = base + B^T t.
+
+    Row g holds the coefficients of the polynomial pi(t)^g over the
+    t-monomials up to the basis degree 2r (oracle's parametrization), so
+    the moments of any measure on t map to those of its pushforward.
+    Column 0 is the Dirac measure at t = 0 and the others span the
+    solutions of the marginal identities with y_0 = 0.  The recurrence
+    that fills the rows is planned once per shape
+    (:func:`_substitution_plan`), so a call only sums the planned terms.
+    """
+    base, B = _affine_parametrization(mu, nu)
+    b0 = base.ravel()
+    if len(B) == 0:  # a one-point space: the coupling is fixed
+        return SparseRows(np.arange(len(basis) + 1), np.zeros(len(basis), int),
+                          mom.point_moments(basis, b0), (len(basis), 1))
+    indptr, cols, terms = _substitution_plan(len(mu), len(nu), basis.maxdeg)
+    factor = np.concatenate([b0, [1.0, -1.0]])
+    vals = np.empty(len(cols))
+    vals[0] = 1.0
+    for src, tgt, fac, (lo, hi) in terms:
+        vals[lo:hi] = np.bincount(tgt, weights=factor[fac] * vals[src],
+                                  minlength=hi - lo)
+    nt = mom.basis_size(len(B), basis.maxdeg)
+    return SparseRows(indptr, cols, vals, (len(basis), nt))
 
 
 def _support(space):
@@ -188,16 +297,17 @@ def reduce_by_symmetry(basis, L, t_rows, entry_perms):
     pos = np.full(orbit.max() + 1, -1)
     pos[t_orbits] = np.arange(len(t_orbits))
     group = pos[orbit]  # the t-orbit of each pi-monomial, or -1
-    # orbit sums of L[:, 1:]: the unit rows of the t-monomials past the
-    # constant, then the other pi-monomials of the t-orbits, by orbit
-    A = np.zeros((len(t_orbits), L.shape[1] - 1))
-    A[t_orbit[1:], np.arange(len(A.T))] = 1.0
+    # orbit sums of L[:, 1:]: the other pi-monomials of the t-orbits, by
+    # orbit in row order, plus the unit rows of the t-monomials
     group[t_rows] = -1
     rows = np.flatnonzero(group >= 0)
-    rows = rows[np.argsort(group[rows], kind="stable")]
-    if len(rows):
-        starts = np.flatnonzero(np.diff(group[rows], prepend=-1))
-        A[group[rows[starts]]] += np.add.reduceat(L[rows, 1:], starts, axis=0)
+    which, col, val = L.gather(rows)
+    on = col > 0
+    nt = L.shape[1]
+    A = np.bincount(group[rows][which[on]] * (nt - 1) + col[on] - 1,
+                    weights=val[on], minlength=len(t_orbits) * (nt - 1)
+                    ).reshape(len(t_orbits), nt - 1)
+    A[t_orbit[1:], np.arange(nt - 1)] += 1.0
     sizes = count + np.bincount(group[rows], minlength=len(count))
     A *= (np.sqrt(count) / sizes)[:, None]
     lam, V = np.linalg.eigh(A @ A.T)
@@ -246,7 +356,8 @@ def _isotypic_split(basis, L, t_rows, d, involutions):
     an orthonormal basis of its range.  Empty spaces are left out.
     """
     exps = basis.exponents[t_rows[:d]]
-    Ts = [L[basis.index_rows(exps[:, perm]), :d].T for perm in involutions]
+    Ts = [L.dense(basis.index_rows(exps[:, perm]), d).T
+          for perm in involutions]
     out = []
     for signs in itertools.product((1, -1), repeat=len(Ts)):
         P = np.eye(d)
@@ -292,12 +403,13 @@ def _records(terms, L):
     """One triplet record per h over w: the nonzero L[e_I, g] of each block."""
     blocks = []
     for d, _, T, rows in terms:
-        coef = L[rows, :T.shape[1]]
-        which, g = np.nonzero(coef)
+        which, g, coef = L.gather(rows)
+        on = coef != 0
+        which, g = which[on], g[on]
         blocks.append(sdp.PsdBlock(
-            const=np.zeros((len(coef), d, d)), var_idx=T[:, g].T.ravel(),
+            const=np.zeros((len(rows), d, d)), var_idx=T[:, g].T.ravel(),
             cells=(which[:, None] * (d * d) + np.arange(d * d)).ravel(),
-            vals=np.repeat(coef[which, g], d * d)))
+            vals=np.repeat(coef[on], d * d)))
     return blocks
 
 
@@ -313,7 +425,7 @@ def _reduced_records(terms, L, W, split):
     ny = W.shape[1]
     stacks = {}
     for h, (d, _, T, rows) in enumerate(terms):
-        C = L[rows, :T.shape[1]] @ W[T.T].reshape(T.shape[1], -1)
+        C = L.dense(rows, T.shape[1]) @ W[T.T].reshape(T.shape[1], -1)
         C = C.reshape(len(rows), d * d, ny).transpose(2, 0, 1).reshape(
             ny, len(rows), d, d)
         if h:
@@ -351,7 +463,10 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     eye = np.eye(nvars, dtype=np.int64)
     quad = basis.index_rows((eye[:, None] + eye[None, :]).reshape(-1, nvars))
     c = np.bincount(quad, weights=cost.entries.ravel(), minlength=len(basis))
-    objective = c @ L
+    rows = np.flatnonzero(c)
+    which, g, coef = L.gather(rows)
+    objective = np.bincount(g, weights=c[rows][which] * coef,
+                            minlength=L.shape[1])
 
     gx, gy = isometries(Xs), isometries(Ys)
     perms = _entry_permutations(gx, gy)
@@ -392,11 +507,16 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
 
     lift = L
     if len(entry_ids) < X.size * Y.size:  # zero moments on dropped entries
+        # the kept monomials keep their order among all, so L's entries
+        # stay as they are and only the rows move
         full = mom.get_basis(X.size * Y.size, 2 * level)
         exps = np.zeros((len(basis), full.nvars), dtype=np.int64)
         exps[:, entry_ids] = basis.exponents
-        lift = np.zeros((len(full), nt))
-        lift[full.index_rows(exps)], basis = L, full
+        count = np.zeros(len(full), dtype=np.int64)
+        count[full.index_rows(exps)] = np.diff(L.indptr)
+        lift = SparseRows(np.concatenate([[0], np.cumsum(count)]), L.cols,
+                          L.vals, (len(full), nt))
+        basis = full
     info = RelaxationInfo(level=level, m=X.size, n=Y.size, nvars=nt,
                           parts=tuple(parts), basis=basis, lift=lift,
                           reduced=W, symmetries=len(gx) * len(gy))
@@ -424,14 +544,14 @@ class GwBound:
 
 # Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
 # level-1 relaxation has 0.12 MB of them; its assembled problem, lift and
-# IPM temporaries take about 2.6 times that again (tracemalloc peak of a
-# chunk of five trials), so a chunk adds about 2 MB to peak RSS however
-# many pairs there are, while its lockstep batches still share each
-# kernel call among several problems.  A symmetric pair holds more per
-# dense byte: its records are dense triplets of 24 B per coefficient, and
-# its lift and W stay in t-moments, so between assembly and solve it
-# holds 8 to 10 times its dense bytes (4x4, 8x4 and 16x4 at level 1, 3x4
-# at level 2), and a chunk of such pairs up to about 5 MB.
+# IPM temporaries take about 2.0 times that again (tracemalloc peak of a
+# chunk of five such pairs), so a chunk adds about 1.8 MB to peak RSS
+# however many pairs there are, while its lockstep batches still share
+# each kernel call among several problems.  A symmetric pair holds more
+# per dense byte: its records are dense triplets of 24 B per coefficient,
+# and its W is dense over the t-moments, so between assembly and solve it
+# holds 3.5 to 5 times its dense bytes (4x4, 8x4 and 16x4 at level 1, 3x4
+# at level 2), and a chunk of such pairs up to about 2.5 MB.
 _CHUNK_BYTES = 1 << 19
 
 

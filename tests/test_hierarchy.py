@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,6 +102,38 @@ def block_matrices(blk, w):
     return M
 
 
+def dense(rows):
+    """A SparseRows matrix, such as ``RelaxationInfo.lift``, as an array."""
+    return rows.dense(np.arange(rows.shape[0]), rows.shape[1])
+
+
+def dense_substitution_map(basis, mu, nu):
+    """L by the dense recurrence, row by row in graded order (k >= 1).
+
+    Row g is pi_v(t) times its parent row g - e_v, v the first variable
+    of g: the parent scaled by b0_v, plus its shifts by the u with
+    B[u, v] != 0, added in ascending u.
+    """
+    base, B = _affine_parametrization(mu, nu)
+    b0, k = base.ravel(), len(B)
+    B = B.reshape(k, basis.nvars)
+    tbasis = mom.get_basis(k, basis.maxdeg)
+    L = np.zeros((len(basis), len(tbasis)))
+    L[0, 0] = 1.0
+    for g in range(1, len(basis)):
+        exps = basis.exponents[g].astype(np.int64)
+        v = np.argmax(exps > 0)
+        exps[v] -= 1
+        parent = L[basis.index_rows(exps)[0]]
+        L[g] = b0[v] * parent
+        for u in np.flatnonzero(B[:, v]):
+            for j in np.flatnonzero(parent):
+                shift = tbasis.exponents[j].astype(np.int64)
+                shift[u] += 1
+                L[g, tbasis.index_rows(shift)[0]] += B[u, v] * parent[j]
+    return L
+
+
 class TestSubstitution:
     @pytest.mark.parametrize("m,n,level",
                              itertools.product([1, 2, 3], [1, 2, 3], [1, 2]))
@@ -163,6 +196,65 @@ class TestSubstitution:
         pi = product_coupling(X.weights, Y.weights).pi
         want = mom.point_moments(info.basis, pi.ravel())
         assert np.abs(info.lift @ prob.free[0] - want).max() <= 1e-15
+
+
+class TestSparseSubstitution:
+    """The sparse map against a dense loop over the same recurrence.
+
+    Entries must agree bit for bit under ``==``, which takes zeros of
+    either sign as equal.  The stored pattern depends on the shape only
+    and may hold exact zeros, so zero patterns are compared on values.
+    """
+
+    @staticmethod
+    def assert_matches_dense(mu, nu, level):
+        basis = mom.get_basis(len(mu) * len(nu), 2 * level)
+        L = hierarchy._substitution_map(basis, mu, nu)
+        ref = dense_substitution_map(basis, mu, nu)
+        got = dense(L)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.nonzero(got), np.nonzero(ref))
+        # columns ascend within each row, as the records read them
+        inner = np.ones(len(L.cols) - 1, dtype=bool)
+        inner[L.indptr[1:-1] - 1] = False
+        assert (np.diff(L.cols)[inner] > 0).all()
+        return L
+
+    @pytest.mark.parametrize("m,n,level", [(2, 2, 1), (2, 3, 2), (3, 3, 2),
+                                           (3, 4, 2), (4, 4, 1)])
+    def test_random_weights(self, rng, m, n, level):
+        self.assert_matches_dense(random_space(rng, m).weights,
+                                  random_space(rng, n).weights, level)
+
+    def test_concentration_pair(self):
+        fine, coarse = concentration_pair()
+        self.assert_matches_dense(fine.weights, coarse.weights, 1)
+
+    def test_zero_corner_base(self):
+        # base[-1, -1] = nu[-1] - sum(mu[:-1]) is exactly 0 here, so the
+        # plan's constant term of the corner is 0: the map stores zeros,
+        # and the records keep none of them
+        half = np.array([0.5, 0.5])
+        assert _affine_parametrization(half, half)[0][-1, -1] == 0.0
+        L = self.assert_matches_dense(half, half, 2)
+        assert (L.vals == 0).any()
+        prob, _ = direct_relaxation(line(0, 1), line(0, 0.5), 2)
+        for blk in prob.blocks:
+            assert (blk.vals != 0).all()
+
+    def test_assembly_peak_memory(self):
+        # a dense L of this 16x4 level-1 pair alone takes 17.7 MB, and
+        # an assembly that builds it peaks at about 40 MB under
+        # tracemalloc; with sparse rows the peak is about 22 MB
+        fine, coarse = concentration_pair()
+        tracemalloc.start()
+        try:
+            assemble_relaxation(fine, coarse, level=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestLowerBound:
@@ -301,13 +393,14 @@ def assert_reduced_free_exact(X, Y, level):
     mono = [info.basis.index_rows(info.basis.exponents[:, np.argsort(perm)])
             for perm in perms]
     # every direction lifts to pi-moments that the permutations keep
-    lifted = info.lift @ W
+    lift = dense(info.lift)
+    lifted = lift @ W
     for g in mono:
         assert np.abs(lifted[g] - lifted).max() <= 1e-12
     # and the invariant w with w_0 = 0 are all spanned: the action of g
     # on t-moments is A_g = lift[g] read at the t-monomials
     ul = t_rows(info, X, Y)
-    D = np.vstack([info.lift[g][ul][:, 1:] - np.eye(nt)[:, 1:]
+    D = np.vstack([lift[g][ul][:, 1:] - np.eye(nt)[:, 1:]
                    for g in mono])
     dim = nt - 1 - np.linalg.matrix_rank(D)
     assert basis.shape[1] == dim
@@ -415,8 +508,8 @@ class TestSymmetryReduction:
         split = hierarchy._isotypic_split(info.basis, info.lift, rows, d,
                                           perms)
         exps = info.basis.exponents[rows[:d]]
-        Ts = [info.lift[info.basis.index_rows(exps[:, g]), :d].T
-              for g in perms]
+        lift = dense(info.lift)
+        Ts = [lift[info.basis.index_rows(exps[:, g]), :d].T for g in perms]
         for signs, Q in split:
             P = np.eye(d)
             for s, T in zip(signs, Ts):
@@ -443,7 +536,7 @@ class TestSymmetryReduction:
         orbit = np.unique(hierarchy._orbit_labels(mono),
                           return_inverse=True)[1]
         sums = np.zeros((orbit.max() + 1, info.nvars - 1))
-        np.add.at(sums, orbit, info.lift[:, 1:])
+        np.add.at(sums, orbit, dense(info.lift)[:, 1:])
         mean = sums / np.bincount(orbit)[:, None]
         A = mean[np.unique(orbit[t_rows(info, X, Y)])]
         sv = np.linalg.svd(A, compute_uv=False)
