@@ -304,9 +304,11 @@ def reduce_by_symmetry(basis, L, t_rows, entry_perms):
     which, col, val = L.gather(rows)
     on = col > 0
     nt = L.shape[1]
+    # an empty bincount is an integer array: when the isometries map
+    # t-monomials to t-monomials alone, no other row enters
     A = np.bincount(group[rows][which[on]] * (nt - 1) + col[on] - 1,
                     weights=val[on], minlength=len(t_orbits) * (nt - 1)
-                    ).reshape(len(t_orbits), nt - 1)
+                    ).astype(float, copy=False).reshape(len(t_orbits), nt - 1)
     A[t_orbit[1:], np.arange(nt - 1)] += 1.0
     sizes = count + np.bincount(group[rows], minlength=len(count))
     A *= (np.sqrt(count) / sizes)[:, None]
@@ -444,6 +446,17 @@ def _reduced_records(terms, L, W, split):
     return blocks
 
 
+def _quadratic_rows(nvars):
+    """Rows of the monomials e_v + e_w in the graded order, (v, w) in C order.
+
+    The 1 + nvars monomials of degree < 2 come first, then x_u x_w for
+    u <= w by u and w: those with u < v number v nvars - v (v - 1) / 2.
+    """
+    v, w = np.divmod(np.arange(nvars * nvars), nvars)
+    lo, hi = np.minimum(v, w), np.maximum(v, w)
+    return 1 + nvars + lo * nvars - lo * (lo - 1) // 2 + hi - lo
+
+
 def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
                         p: float = 1.0, q: float = 1.0, level: int = 1):
     """Build the level-r SDP over t-moments; returns (problem, info).
@@ -460,9 +473,8 @@ def assemble_relaxation(X: MetricMeasureSpace, Y: MetricMeasureSpace,
     L = _substitution_map(basis, Xs.weights, Ys.weights)
 
     # objective: sum_{v,w} c[v, w] y_{e_v + e_w}, pulled back through L
-    eye = np.eye(nvars, dtype=np.int64)
-    quad = basis.index_rows((eye[:, None] + eye[None, :]).reshape(-1, nvars))
-    c = np.bincount(quad, weights=cost.entries.ravel(), minlength=len(basis))
+    c = np.bincount(_quadratic_rows(nvars), weights=cost.entries.ravel(),
+                    minlength=len(basis))
     rows = np.flatnonzero(c)
     which, g, coef = L.gather(rows)
     objective = np.bincount(g, weights=c[rows][which] * coef,

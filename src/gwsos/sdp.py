@@ -27,25 +27,28 @@ Nesterov-Todd scaling and a Mehrotra-style predictor-corrector.  Primal
 and dual iterates move by one common step length, as in the infeasible
 IPM of Kojima, Megiddo & Mizuno (Math. Prog. 1993); separate lengths let
 the primal step collapse while the dual one stays long, and the solve
-can stall.  After a long predictor step Mehrotra's sigma is tiny, the
-corrector's second-order term can dominate its direction, and its step
-falls far below the predictor's.  So the corrector is safeguarded, after
-Salahi, Peng & Terlaky (SIAM J. Optim. 2007): a problem whose corrector
-step is below ``_SHORT_CORRECTOR`` times its predictor step takes the
-direction at the same target sigma * mu without the second-order terms
-wherever that one goes further.
-It stops when the primal and dual residuals are below
-``FEAS_TOL`` and the gap relative to the objective in the caller's units
-is below ``GAP_TOL``, or after ``max_iter`` iterations.  Each iteration
-factors every S and X block once by Cholesky; the factors and their
-inverses serve the scaling, S^-1 and every step length.  The Schur
-complement is factored as it is, with a small ridge only when its
-Cholesky factorization fails, and each direction is one solve with it:
-forward and back substitution by diagonal blocks of at most 64 rows,
-whose inverses are taken once per iteration, so that each step is one
-batched product for the whole batch of problems.
-Each record becomes a dense (k, d, d) stack, and every kernel of an
-iteration runs once per stack as a batched call, not once per block.
+can stall.  An iteration runs the steps of ``_Batch`` in turn:
+
+- ``residuals`` gives one record (pres, dres, relgap, mu, dobj) per
+  problem, and ends the problems whose residuals are below ``FEAS_TOL``
+  and whose gap relative to the objective is below ``GAP_TOL``, and
+  those that stall;
+- ``factor`` factors every S and X block once by Cholesky, for the
+  scaling, S^-1 and every step length, and the Schur complement as it
+  is, with a small ridge only where that fails;
+- ``step`` takes the predictor and corrector ``directions``, each one
+  solve with the Schur factor, and their ``step_length``;
+- ``update`` moves each problem by its own step length.
+
+After a long predictor step Mehrotra's sigma is tiny, the corrector's
+second-order term can dominate its direction, and its step falls far
+below the predictor's.  So the corrector is safeguarded, after Salahi,
+Peng & Terlaky (SIAM J. Optim. 2007): where its step is below
+``_SHORT_CORRECTOR`` times the predictor's, a ``fallback`` takes the
+direction at the same sigma * mu without the second-order terms if that
+goes further; where the step is still below 0.05, another takes a
+centering direction.  Each record becomes a dense (k, d, d) stack, and
+every kernel of an iteration runs once per stack as a batched call.
 Results are deterministic for a fixed input.
 
 :func:`solve_many` adds a leading batch axis.  Problems of one shape --
@@ -56,15 +59,13 @@ the whole group, and the per-call overhead that dominates small solves
 is paid once per iteration of the group, not once per problem.  Each
 problem keeps its own step length, sigma, mu, stall counter and stop
 test.  It leaves the batch, its rows compacted away, when its own stop
-fires or its own factorization fails; a batched Cholesky factorization
-fails for the whole stack, so the failing problems are found one by one
-and the rest factor again.  No kernel mixes the rows of two problems,
-so a problem's iterates in a batch are those of its solo run, and
-:func:`solve` is :func:`solve_many` on one problem.  A batch holds the
-dense data of all its problems at once, and :func:`dense_bytes` gives a
-problem's share.  Callers with many problems solve them in chunks under
-a byte budget (:func:`gwsos.hierarchy.gw_lower_bounds`), so that peak
-memory does not grow with the number of problems.
+fires or its own factorization fails.  No kernel mixes the rows of two
+problems, so a problem's iterates in a batch are those of its solo run,
+and :func:`solve` is :func:`solve_many` on one problem.  A batch holds
+the dense data of all its problems at once, and :func:`dense_bytes`
+gives a problem's share.  Callers with many problems solve them in
+chunks under a byte budget (:func:`gwsos.hierarchy.gw_lower_bounds`), so
+that peak memory does not grow with the number of problems.
 """
 
 from __future__ import annotations
@@ -190,13 +191,9 @@ def load_problem(path) -> SdpProblem:
         raise ValueError(f"{path}: 'free' has a dense 'basis'; the solver "
                          "reads only free 'coords', so state the problem "
                          "in the coordinates of its affine set")
-    return SdpProblem(nvars=doc["nvars"],
-                      objective=np.asarray(doc["objective"], dtype=float),
-                      eq_lhs=np.asarray(doc["eq_lhs"], dtype=float),
-                      eq_rhs=np.asarray(doc["eq_rhs"], dtype=float),
-                      blocks=blocks,
-                      free=(free["offset"],
-                            np.asarray(free["coords"], dtype=np.int64)))
+    return SdpProblem(nvars=doc["nvars"], objective=doc["objective"],
+                      eq_lhs=doc["eq_lhs"], eq_rhs=doc["eq_rhs"],
+                      blocks=blocks, free=(free["offset"], free["coords"]))
 
 
 def _sym(A):
@@ -226,19 +223,14 @@ def _max_step(Li, dM):
     return -_STEP_FRACTION / np.minimum(lam, -_STEP_FRACTION)
 
 
-def _nt_scaling(Ls, Lx):
+def _nt_scaling(L):
     """Factors R[i] R[i]' = W[i], the point with W[i] S[i] W[i] = X[i].
 
-    Ls and Lx are the Cholesky factors of S and X.
+    L stacks the Cholesky factors of S and then those of X, as _factors.
     """
-    _, sig, Vt = np.linalg.svd(Ls.mT @ Lx)
-    return Lx @ (Vt.mT / np.sqrt(sig)[..., None, :])
-
-
-def _halves(a):
-    """The S and X parts of a (B, 2k, ...) stack laid out as in _factors."""
-    k = a.shape[1] // 2
-    return a[:, :k], a[:, k:]
+    k = L.shape[1] // 2
+    _, sig, Vt = np.linalg.svd(L[:, :k].mT @ L[:, k:])
+    return L[:, k:] @ (Vt.mT / np.sqrt(sig)[..., None, :])
 
 
 def _factors(S, X):
@@ -249,7 +241,7 @@ def _factors(S, X):
     """
     L = [np.linalg.cholesky(np.concatenate([a, b], axis=1))
          for a, b in zip(S, X)]
-    return L, [_nt_scaling(*_halves(Ls)) for Ls in L]
+    return L, [_nt_scaling(Ls) for Ls in L]
 
 
 def _failing_factors(S, X, count):
@@ -434,9 +426,11 @@ def _stack_blocks(blocks, y_p, N):
             blk.cells, weights=blk.vals * y_p[blk.var_idx],
             minlength=blk.const.size).reshape(k, d, d)
         G = _coefficients(blk, N, len(y_p)).reshape(nz, k, d, d)
-        scale = 1.0 / np.maximum.reduce([
-            np.ones(k), np.abs(G0).max(axis=(1, 2)),
-            np.abs(G).max(axis=(0, 2, 3), initial=0.0)])
+        # each block's largest |entry| with no |G| temporary: G.max and
+        # -G.min over the coefficients first, then over the block
+        big = np.maximum(np.maximum(np.abs(G0), G.max(axis=0, initial=0.0)),
+                         -G.min(axis=0, initial=0.0))
+        scale = 1.0 / np.maximum(1.0, big.max(axis=(1, 2)))
         G0 *= scale[:, None, None]
         G *= scale[:, None, None]
         if d == 1:
@@ -485,6 +479,23 @@ def _fixed_point(problem):
                      {"min_eig": float(min(lam_min, lp_min))})
 
 
+def _apply(G, v):
+    """sum_n v[:, n] G[:, n] of a (B, nz, k, d, d) stack, as (B, k, d, d)."""
+    B, nz = G.shape[:2]
+    return np.vecmat(v, G.reshape(B, nz, -1)).reshape(B, *G.shape[2:])
+
+
+def _adjoint(G, V):
+    """The inner products of each G[:, n] with V, as (B, nz)."""
+    B, nz = G.shape[:2]
+    return np.matvec(G.reshape(B, nz, -1), V.reshape(B, -1))
+
+
+def _gap(S, X, s_lp, x_lp):
+    """The duality gap x_lp's_lp + sum of X.S over the stacks, per problem."""
+    return sum(map(_dot, X, S), _dot(x_lp, s_lp))
+
+
 def _stack(arrays):
     """The arrays stacked on a new first axis; a single one is not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -495,12 +506,17 @@ class _Batch:
 
     The data are those of each problem in its free coordinates z.  The
     start is infeasible: z = 0, with the slacks pushed inside the cone.
+    Every array attribute, and every list of per-stack arrays, holds one
+    row per problem in the batch.
     """
 
-    def __init__(self, problems):
+    def __init__(self, problems, idx):
+        self.problems = tuple(problems)  # not a list: end() slices those
+        self.out = {}  # solutions of the problems that left, by index
+        self.ids = np.array(idx)
+        problems = [problems[i] for i in idx]
         c = np.stack([problem.objective[problem.free[1]]
                       for problem in problems])
-        self.ids = np.arange(len(problems))
         self.obj_scale = 1.0 / np.maximum(1.0, np.abs(c).max(axis=1))
         self.c = c * self.obj_scale[:, None]
         lp_g0, lp_G, G0s, Gs = zip(*(
@@ -509,6 +525,8 @@ class _Batch:
         self.lp_g0, self.lp_G = _stack(lp_g0), _stack(lp_G)
         self.G0s = [_stack(G0) for G0 in zip(*G0s)]
         self.Gs = [_stack(G) for G in zip(*Gs)]
+        self.nu = self.lp_g0.shape[1] + sum(  # the order of the cone
+            G0.shape[1] * G0.shape[2] for G0 in self.G0s)
         # residual scales: primal per block and LP row, dual per problem
         self.p_scale = [1 + np.linalg.norm(G0, axis=(2, 3))
                         for G0 in self.G0s]
@@ -526,19 +544,184 @@ class _Batch:
         self.x_lp = np.ones_like(self.lp_g0)
         self.best_err = np.full(len(problems), np.inf)
         self.stall = np.zeros(len(problems), dtype=int)
-        # residuals of the current iterate: [primal, dual, gap, mu] per row
-        self.res = None
+        self.res = np.zeros((len(problems), 0))  # see residuals()
 
     def __len__(self):
         return len(self.ids)
 
-    def take(self, keep):
-        """Keep only the rows in the mask keep, in every array."""
+    def end(self, status, iters):
+        """Rows whose status is set (not None) leave with their solutions;
+        the arrays are copied only when a row leaves."""
+        if not any(status):
+            return
+        keep = np.array([why is None for why in status], dtype=bool)
+        for row in np.flatnonzero(~keep):
+            res = dict(zip(("primal", "dual", "gap", "mu"),
+                           map(float, self.res[row])))
+            i = self.ids[row]
+            self.out[i] = _solution(self.problems[i], self.z[row],
+                                    status[row], iters, res)
+        # a batch left empty takes empty views, not copies
+        keep = keep if keep.any() else slice(0)
         for name, v in vars(self).items():
             if isinstance(v, list):
                 setattr(self, name, [a[keep] for a in v])
-            elif v is not None:
+            elif isinstance(v, np.ndarray):
                 setattr(self, name, v[keep])
+
+    def residuals(self, it):
+        """One record (pres, dres, relgap, mu, dobj) per problem, as res.
+
+        The problems that converged or stalled end.  relgap is the gap
+        relative to the objective in the caller's units.
+        """
+        self.Rp = [S - G0 - _apply(G, self.z)
+                   for S, G0, G in zip(self.S, self.G0s, self.Gs)]
+        self.r_lp = self.s_lp - self.lp_g0 - np.matvec(self.lp_G, self.z)
+        self.r_stat = self.c - np.vecmat(self.x_lp, self.lp_G)
+        for X, G in zip(self.X, self.Gs):
+            self.r_stat = self.r_stat - _adjoint(G, X)
+        self.gap = _gap(self.S, self.X, self.s_lp, self.x_lp)
+        self.mu = self.gap / self.nu
+        dobj = -_dot(self.lp_g0, self.x_lp)
+        pres = np.abs(self.r_lp).max(axis=1, initial=0.0) / self.lp_scale
+        for G0, X, Rp, scale in zip(self.G0s, self.X, self.Rp, self.p_scale):
+            dobj = dobj - _dot(G0, X)
+            pres = np.maximum(pres, (np.linalg.norm(Rp, axis=(2, 3)) /
+                                     scale).max(axis=1))
+        dres = np.abs(self.r_stat).max(axis=1) / self.d_scale
+        relgap = np.abs(self.gap) / (
+            self.obj_scale + np.abs(_dot(self.c, self.z)) + np.abs(dobj))
+        self.res = res = np.array([pres, dres, relgap, self.mu, dobj]).T
+        # the stop test row by row: numpy calls on a few scalars cost more
+        status = [None] * len(self)
+        zz = _dot(self.z, self.z).tolist()
+        for row, (pr, du, gp, _, _) in enumerate(res.tolist()):
+            if pr < FEAS_TOL and du < FEAS_TOL and gp < GAP_TOL:
+                status[row] = "optimal"
+                continue
+            err = max(pr, du, gp)
+            if err < self.best_err[row] * 0.99:
+                self.best_err[row], self.stall[row] = err, 0
+            else:
+                self.stall[row] += 1
+            if self.stall[row] > 30 or zz[row] > 1e18:
+                status[row] = ("infeasible_suspected" if pr > 1e3 * FEAS_TOL
+                               else "numerical_failure")
+        self.end(status, it)
+        return res
+
+    def factor(self, it):
+        """Factor the iterates and the Schur matrix; False if none is left.
+
+        A problem whose own factorization fails leaves; the rest refactor.
+        """
+        while len(self):
+            try:
+                L, self.scal = _factors(self.S, self.X)
+            except np.linalg.LinAlgError:
+                bad = _failing_factors(self.S, self.X, len(self))
+            else:
+                self.w_lp = self.x_lp / self.s_lp
+                Lm, bad = _schur_factor(_schur(self.Gs, self.scal, self.lp_G,
+                                               self.w_lp))
+                if not bad.any():
+                    self.schur_solve = _schur_solver(Lm)
+                    self.Li = [np.linalg.inv(l) for l in L]
+                    self.Sinv = [Lsi.mT @ Lsi for Lsi in (
+                        Li[:, :S.shape[1]] for Li, S in zip(self.Li, self.S))]
+                    self.WRpW = [R @ (R.mT @ Rp @ R) @ R.mT
+                                 for R, Rp in zip(self.scal, self.Rp)]
+                    self.v_lp = np.concatenate([self.s_lp, self.x_lp], axis=1)
+                    return True
+            self.end(np.where(bad, "numerical_failure", None), it)
+        return False
+
+    def directions(self, sigma_mu, corr=None, corr_lp=None):
+        """The step (dz, dS, dX, ds_lp, dx_lp) toward X S = sigma_mu I, and
+        its length; corr and corr_lp are second-order terms taken off the
+        targets."""
+        targets, rhs = [], -self.r_stat
+        for s, (Sinv, X, WRpW, G) in enumerate(
+                zip(self.Sinv, self.X, self.WRpW, self.Gs)):
+            T = _per_problem(sigma_mu, 4) * Sinv - X
+            T = _sym(T if corr is None else T - corr[s])
+            targets.append(T)
+            rhs = rhs + _adjoint(G, _sym(T + WRpW))
+        lp_target = (sigma_mu[:, None] - self.x_lp * self.s_lp) / self.s_lp
+        if corr_lp is not None:
+            lp_target = lp_target - corr_lp / self.s_lp
+        rhs = rhs + np.vecmat(lp_target + self.w_lp * self.r_lp, self.lp_G)
+        dz = self.schur_solve(rhs)
+        dS, dX = [], []
+        for R, Rp, G, T in zip(self.scal, self.Rp, self.Gs, targets):
+            dSs = -Rp + _apply(G, dz)
+            dX.append(_sym(T - R @ (R.mT @ dSs @ R) @ R.mT))
+            dS.append(_sym(dSs))
+        ds_lp = -self.r_lp + np.matvec(self.lp_G, dz)
+        step = dz, dS, dX, ds_lp, lp_target - self.w_lp * ds_lp
+        return step, self.step_length(step)
+
+    def step_length(self, step):
+        """One length for primal and dual: the shorter of the two."""
+        _, dS, dX, ds_lp, dx_lp = step
+        a = np.ones(len(self))
+        for Li, dSs, dXs in zip(self.Li, dS, dX):
+            a = np.minimum(a, _max_step(
+                Li, np.concatenate([dSs, dXs], axis=1)))
+        dv = np.concatenate([ds_lp, dx_lp], axis=1)
+        ratio = np.divide(self.v_lp, -dv, out=np.full_like(dv, np.inf),
+                          where=dv < 0)
+        return np.minimum(a, _STEP_FRACTION * ratio.min(
+            axis=1, initial=np.inf))
+
+    def moved(self, a, step):
+        """The iterate (z, S, X, s_lp, x_lp) moved by a times step."""
+        dz, dS, dX, ds_lp, dx_lp = step
+        a4 = _per_problem(a, 4)
+        return (self.z + a[:, None] * dz,
+                [S + a4 * dSs for S, dSs in zip(self.S, dS)],
+                [X + a4 * dXs for X, dXs in zip(self.X, dX)],
+                self.s_lp + a[:, None] * ds_lp,
+                self.x_lp + a[:, None] * dx_lp)
+
+    def step(self):
+        """The predictor-corrector step of each problem, and its length."""
+        pred, a_aff = self.directions(np.zeros(len(self)))
+        gap_aff = _gap(*self.moved(a_aff, pred)[1:])
+        sigma = np.minimum(1.0, np.maximum(
+            1e-8, (np.maximum(gap_aff, 0.0) / self.gap) ** 3))
+        # Mehrotra-style second-order correction from the affine direction;
+        # the corrector reuses the factored Schur system
+        _, dS, dX, ds_lp, dx_lp = pred
+        corr = [_sym(dXs @ dSs @ Sinv)
+                for dXs, dSs, Sinv in zip(dX, dS, self.Sinv)]
+        step, a = self.directions(sigma * self.mu, corr, dx_lp * ds_lp)
+        # where the second-order term dominates, the direction at the same
+        # target without it, where that goes further
+        step, a = self.fallback(step, a, a < _SHORT_CORRECTOR * a_aff,
+                                sigma * self.mu, longer=True)
+        # poor centrality: a pure centering step
+        return self.fallback(step, a, a < 0.05,
+                             np.maximum(sigma, 0.9) * self.mu)
+
+    def fallback(self, step, a, rows, sigma_mu, longer=False):
+        """The rows in rows take the uncorrected step toward sigma_mu."""
+        if not rows.any():
+            return step, a
+        new, a_new = self.directions(sigma_mu)
+        if longer:
+            rows = rows & (a_new > a)
+        return ([_pick(rows, n, o) for n, o in zip(new, step)],
+                np.where(rows, a_new, a))
+
+    def update(self, step, a, it):
+        """Move each problem by its step; one that cannot move leaves."""
+        stuck = a < 1e-10
+        self.z, self.S, self.X, self.s_lp, self.x_lp = self.moved(
+            np.where(stuck, 0.0, a), step)
+        if stuck.any():
+            self.end(np.where(stuck, "numerical_failure", None), it)
 
 
 def solve(problem: SdpProblem,
@@ -552,210 +735,26 @@ def solve_many(problems, max_iter: int = DEFAULT_MAX_ITER) -> list:
 
     Each solution is the one :func:`solve` returns for its problem alone.
     """
-    out = [None] * len(problems)
-    groups = {}
+    groups, out = {}, {}
     for i, problem in enumerate(problems):
         groups.setdefault(_shape(problem), []).append(i)
     for shape, idx in groups.items():
-        group = [problems[i] for i in idx]
-        sols = (_lockstep(group, shape, max_iter) if shape[0] else
-                [_fixed_point(problem) for problem in group])
-        for i, sol in zip(idx, sols):
-            out[i] = sol
-    return out
+        out.update(_lockstep(problems, idx, max_iter) if shape[0] else
+                   {i: _fixed_point(problems[i]) for i in idx})
+    return [out[i] for i in range(len(problems))]
 
 
-def _lockstep(problems, shape, max_iter):
-    """The IPM on problems of one shape, each with its own steps and stop."""
-    out = [None] * len(problems)
-    st = _Batch(problems)
-    nz, stacks, nlp = shape
-    nst = len(stacks)
-    nu = sum(k * d for k, d in stacks) + nlp
-
-    def end(status, iters):
-        """Return the problems whose status is set at their current iterate.
-
-        status holds one entry per row, None for the rows that stay; the
-        others leave the batch.
-        """
-        keep = np.array([why is None for why in status], dtype=bool)
-        for row in np.flatnonzero(~keep):
-            res = ({} if st.res is None else
-                   dict(zip(("primal", "dual", "gap", "mu"),
-                            map(float, st.res[row]))))
-            i = st.ids[row]
-            out[i] = _solution(problems[i], st.z[row], status[row], iters,
-                               res)
-        st.take(keep)
-
-    def apply_G(v, s):
-        """sum_n v[:, n] G_n over stack s, as a (B, k, d, d) array."""
-        G = st.Gs[s]
-        return np.vecmat(v, G.reshape(len(G), nz, -1)).reshape(
-            st.G0s[s].shape)
-
-    def adjoint_G(V, s):
-        """The inner products of each G_n of stack s with V, as (B, nz)."""
-        return np.matvec(st.Gs[s].reshape(len(V), nz, -1),
-                         V.reshape(len(V), -1))
-
+def _lockstep(problems, idx, max_iter):
+    """The IPM on problems[idx], of one shape; their solutions by index."""
+    st = _Batch(problems, idx)
     for it in range(max_iter):
         if not len(st):
             break
-        B = len(st)
-        # residuals of the current iterate
-        st.Rp = [st.S[s] - st.G0s[s] - apply_G(st.z, s) for s in range(nst)]
-        st.r_lp = st.s_lp - st.lp_g0 - np.matvec(st.lp_G, st.z)
-        st.r_stat = st.c - np.vecmat(st.x_lp, st.lp_G)
-        for s in range(nst):
-            st.r_stat = st.r_stat - adjoint_G(st.X[s], s)
-        st.gap = _dot(st.x_lp, st.s_lp)
-        dobj = -_dot(st.lp_g0, st.x_lp)
-        pres = np.zeros(B)
-        for s in range(nst):
-            st.gap = st.gap + _dot(st.X[s], st.S[s])
-            dobj = dobj - _dot(st.G0s[s], st.X[s])
-            pres = np.maximum(pres, (np.linalg.norm(st.Rp[s], axis=(2, 3)) /
-                                     st.p_scale[s]).max(axis=1))
-        if nlp:
-            pres = np.maximum(pres,
-                              np.abs(st.r_lp).max(axis=1) / st.lp_scale)
-        st.mu = st.gap / nu
-        dres = np.abs(st.r_stat).max(axis=1) / st.d_scale
-        # the gap relative to the objective in the caller's units
-        relgap = np.abs(st.gap) / (st.obj_scale + np.abs(_dot(st.c, st.z)) +
-                                   np.abs(dobj))
-        st.res = np.array([pres, dres, relgap, st.mu]).T
-        # the stop test, one problem at a time: these are a few scalars
-        # per problem, and numpy calls on them would cost more
-        status = [None] * B
-        zz = _dot(st.z, st.z).tolist()
-        for row, (pr, du, gp, _) in enumerate(st.res.tolist()):
-            if pr < FEAS_TOL and du < FEAS_TOL and gp < GAP_TOL:
-                status[row] = "optimal"
-                continue
-            err = max(pr, du, gp)
-            if err < st.best_err[row] * 0.99:
-                st.best_err[row], st.stall[row] = err, 0
-            else:
-                st.stall[row] += 1
-            if st.stall[row] > 30 or zz[row] > 1e18:
-                status[row] = ("infeasible_suspected" if pr > 1e3 * FEAS_TOL
-                               else "numerical_failure")
-        if any(status):
-            end(status, it)
-
-        # one Cholesky factorization and inverse of each iterate serve the
-        # Nesterov-Todd scaling, S^-1 and every step length; a problem
-        # whose own factorization fails leaves, and the rest refactor
-        while len(st):
-            try:
-                L, scal = _factors(st.S, st.X)
-            except np.linalg.LinAlgError:
-                end(np.where(_failing_factors(st.S, st.X, len(st)),
-                             "numerical_failure", None), it)
-                continue
-            w_lp = st.x_lp / st.s_lp
-            Lm, bad = _schur_factor(_schur(st.Gs, scal, st.lp_G, w_lp))
-            if not bad.any():
-                schur_solve = _schur_solver(Lm)
-                break
-            end(np.where(bad, "numerical_failure", None), it)
-        if not len(st):
-            break
-        B = len(st)
-        Li = [np.linalg.inv(l) for l in L]
-        Sinv = [Lsi.mT @ Lsi for Lsi in (_halves(l)[0] for l in Li)]
-        WRpW = [R @ (R.mT @ Rp @ R) @ R.mT for R, Rp in zip(scal, st.Rp)]
-        v_lp = np.concatenate([st.s_lp, st.x_lp], axis=1)
-
-        def directions(sigma_mu, corr=None, corr_lp=None):
-            targets = []
-            rhs = -st.r_stat
-            for s in range(nst):
-                Ts = _per_problem(sigma_mu, 4) * Sinv[s] - st.X[s]
-                if corr is not None:
-                    Ts = Ts - corr[s]
-                Ts = _sym(Ts)
-                targets.append(Ts)
-                rhs = rhs + adjoint_G(_sym(Ts + WRpW[s]), s)
-            lp_target = (sigma_mu[:, None] - st.x_lp * st.s_lp) / st.s_lp
-            if corr_lp is not None:
-                lp_target = lp_target - corr_lp / st.s_lp
-            rhs = rhs + np.vecmat(lp_target + w_lp * st.r_lp, st.lp_G)
-            dz = schur_solve(rhs)
-            dS, dX = [], []
-            for s in range(nst):
-                R = scal[s]
-                dSs = -st.Rp[s] + apply_G(dz, s)
-                WdSW = R @ (R.mT @ dSs @ R) @ R.mT
-                dX.append(_sym(targets[s] - WdSW))
-                dS.append(_sym(dSs))
-            ds_lp = -st.r_lp + np.matvec(st.lp_G, dz)
-            dx_lp = lp_target - w_lp * ds_lp
-            return dz, dS, dX, ds_lp, dx_lp
-
-        def step_length(dS, dX, ds_lp, dx_lp):
-            """One length for primal and dual: the shorter of the two."""
-            a = np.ones(B)
-            for s in range(nst):
-                a = np.minimum(a, _max_step(
-                    Li[s], np.concatenate([dS[s], dX[s]], axis=1)))
-            dv = np.concatenate([ds_lp, dx_lp], axis=1)
-            ratio = np.divide(v_lp, -dv, out=np.full_like(dv, np.inf),
-                              where=dv < 0)
-            return np.minimum(a, _STEP_FRACTION * ratio.min(
-                axis=1, initial=np.inf))
-
-        # predictor
-        dz, dS, dX, ds_lp, dx_lp = directions(np.zeros(B))
-        a_aff = step_length(dS, dX, ds_lp, dx_lp)
-        a4 = _per_problem(a_aff, 4)
-        gap_aff = _dot(st.x_lp + a_aff[:, None] * dx_lp,
-                       st.s_lp + a_aff[:, None] * ds_lp)
-        for s in range(nst):
-            gap_aff = gap_aff + _dot(st.X[s] + a4 * dX[s],
-                                     st.S[s] + a4 * dS[s])
-        sigma = np.minimum(1.0, np.maximum(
-            1e-8, (np.maximum(gap_aff, 0.0) / st.gap) ** 3))
-
-        # Mehrotra-style second-order correction from the affine direction
-        corr = [_sym(dX[s] @ dS[s] @ Sinv[s]) for s in range(nst)]
-
-        # corrector (reuses the factored Schur system)
-        step = directions(sigma * st.mu, corr, dx_lp * ds_lp)
-        a = step_length(*step[1:])
-        short = a < _SHORT_CORRECTOR * a_aff
-        if short.any():
-            # the second-order term dominates: those problems take the
-            # direction at the same target without it where it goes further
-            plain = directions(sigma * st.mu)
-            a_plain = step_length(*plain[1:])
-            longer = short & (a_plain > a)
-            a = np.where(longer, a_plain, a)
-            step = [_pick(longer, p, d) for p, d in zip(plain, step)]
-        weak = a < 0.05
-        if weak.any():
-            # poor centrality: those problems take a pure centering step
-            center = directions(np.maximum(sigma, 0.9) * st.mu)
-            a = np.where(weak, step_length(*center[1:]), a)
-            step = [_pick(weak, c, d) for c, d in zip(center, step)]
-        dz, dS, dX, ds_lp, dx_lp = step
-        stuck = a < 1e-10
-        a = np.where(stuck, 0.0, a)
-        a4 = _per_problem(a, 4)
-        st.z = st.z + a[:, None] * dz
-        for s in range(nst):
-            st.S[s] = st.S[s] + a4 * dS[s]
-            st.X[s] = st.X[s] + a4 * dX[s]
-        st.s_lp = st.s_lp + a[:, None] * ds_lp
-        st.x_lp = st.x_lp + a[:, None] * dx_lp
-        if stuck.any():
-            end(np.where(stuck, "numerical_failure", None), it)
-
-    end(["max_iterations"] * len(st), max_iter)
-    return out
+        st.residuals(it)
+        if st.factor(it):
+            st.update(*st.step(), it)
+    st.end(["max_iterations"] * len(st), max_iter)
+    return st.out
 
 
 def _pick(mask, new, old):
