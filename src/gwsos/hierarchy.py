@@ -66,6 +66,21 @@ from .spaces import (MetricMeasureSpace, ValidationError, build_cost_tensor,
                      isometries, restrict_space)
 
 
+# Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
+# level-1 relaxation has 0.12 MB of them; its assembled problem, lift and
+# IPM temporaries take about 2.0 times that again (tracemalloc peak of a
+# chunk of five such pairs), so a chunk adds about 1.8 MB to peak RSS
+# however many pairs there are, while its lockstep batches still share
+# each kernel call among several problems.  A symmetric pair holds more
+# per dense byte: its records are dense, 8 B per coefficient, but its W
+# is dense over the t-moments, so between assembly and solve it holds 1.6
+# to 2.9 times its dense bytes (16x4, 8x4 and 4x4 at level 1, 3x4 at
+# level 2, held bytes under tracemalloc), and a chunk of such pairs up to
+# about 1.5 MB.  The same budget bounds the transients of the assembly
+# steps that work in chunks (_substitution_plan, _reduced_records).
+_CHUNK_BYTES = 1 << 19
+
+
 @dataclasses.dataclass(frozen=True)
 class RelaxationInfo:
     level: int
@@ -174,28 +189,46 @@ def _substitution_plan(m, n, maxdeg):
     for d in range(1, maxdeg + 1):
         lo, hi = (mom.basis_size(nvars, e) for e in (d - 1, d))
         p, v = parent[lo - 1:hi - 1], first[lo - 1:hi - 1]
-        # one pair per (row, parent entry), then one term per pair and option
         count = indptr[p + 1] - indptr[p]
-        row = np.repeat(np.arange(hi - lo), count)
-        src = _ranges(indptr[p], count)
-        nopt = (opt_ptr[v + 1] - opt_ptr[v])[row]
-        pair = np.repeat(np.arange(len(row)), nopt)
-        o = _ranges(opt_ptr[v][row], nopt)
-        row, src = row[pair], src[pair]
-        col = np.concatenate(cols)[src]
-        col = np.where(opt_u[o] < 0, col, shifts[opt_u[o], col])
-        key = (row * nt + col) * (k + 1) + opt_key[o]
-        order = np.argsort(key)
-        entry = key[order] // (k + 1)
-        new = np.concatenate([[True], entry[1:] != entry[:-1]])
-        entry = entry[new]
-        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(
-            np.bincount(entry // nt, minlength=hi - lo))
-        cols.append((entry % nt).astype(np.int32))
-        terms.append((src[order].astype(np.int32),
-                      (np.cumsum(new) - 1).astype(np.int32),
-                      opt_fac[o][order].astype(np.int16),
-                      (indptr[lo], indptr[hi])))
+        # the terms of rows lo..hi end at ends, a row's after its parent's
+        # entries times the options of its first variable
+        ends = np.cumsum(count * (opt_ptr[v + 1] - opt_ptr[v]))
+        src_d = np.empty(ends[-1], dtype=np.int32)
+        tgt_d = np.empty_like(src_d)
+        fac_d = np.empty(ends[-1], dtype=np.int16)
+        known = np.concatenate(cols)
+        a = 0
+        while a < hi - lo:
+            # rows a..b in one block of about _CHUNK_BYTES / 8 terms, so
+            # each int64 temporary below holds about _CHUNK_BYTES; a block
+            # takes its rows' terms in the order the whole degree would
+            t0 = ends[a - 1] if a else 0
+            b = max(a + 1, np.searchsorted(ends, t0 + _CHUNK_BYTES // 8,
+                                           side="right"))
+            # one pair per (row, parent entry), then one term per pair
+            # and option
+            row = np.repeat(np.arange(b - a), count[a:b])
+            src = _ranges(indptr[p[a:b]], count[a:b])
+            nopt = (opt_ptr[v[a:b] + 1] - opt_ptr[v[a:b]])[row]
+            pair = np.repeat(np.arange(len(row)), nopt)
+            o = _ranges(opt_ptr[v[a:b]][row], nopt)
+            row, src = row[pair], src[pair]
+            col = known[src]
+            col = np.where(opt_u[o] < 0, col, shifts[opt_u[o], col])
+            key = (row * nt + col) * (k + 1) + opt_key[o]
+            order = np.argsort(key)
+            entry = key[order] // (k + 1)
+            new = np.concatenate([[True], entry[1:] != entry[:-1]])
+            entry = entry[new]
+            indptr[lo + a + 1:lo + b + 1] = indptr[lo + a] + np.cumsum(
+                np.bincount(entry // nt, minlength=b - a))
+            cols.append((entry % nt).astype(np.int32))
+            src_d[t0:ends[b - 1]] = src[order]
+            tgt_d[t0:ends[b - 1]] = np.cumsum(new) - 1 + (indptr[lo + a] -
+                                                          indptr[lo])
+            fac_d[t0:ends[b - 1]] = opt_fac[o][order]
+            a = b
+        terms.append((src_d, tgt_d, fac_d, (indptr[lo], indptr[hi])))
     cols = np.concatenate(cols)
     # every map of this shape shares these arrays
     for a in (indptr, cols, *(a for t in terms for a in t[:3])):
@@ -309,6 +342,7 @@ def reduce_by_symmetry(basis, L, t_rows, entry_perms):
     A = np.bincount(group[rows][which[on]] * (nt - 1) + col[on] - 1,
                     weights=val[on], minlength=len(t_orbits) * (nt - 1)
                     ).astype(float, copy=False).reshape(len(t_orbits), nt - 1)
+    del which, col, val, on
     A[t_orbit[1:], np.arange(nt - 1)] += 1.0
     sizes = count + np.bincount(group[rows], minlength=len(count))
     A *= (np.sqrt(count) / sizes)[:, None]
@@ -316,8 +350,14 @@ def reduce_by_symmetry(basis, L, t_rows, entry_perms):
     keep = lam > _GRAM_RTOL * lam[-1]
     # eigh leaves eigenvector i within about eps * lam_max / lam_i of the
     # range; one product with A A' / lam brings it within eps times the
-    # condition of A, and one Newton-Schulz step restores orthonormality
-    V = A @ (A.T @ (V[:, keep] / lam[keep]))
+    # condition of A, and one Newton-Schulz step restores orthonormality.
+    # Each step drops what it no longer needs: the discarded eigenvectors
+    # and, after the products, A.
+    V = V[:, keep]
+    V /= lam[keep]
+    V = A.T @ V
+    V = A @ V
+    del A
     V = V @ (1.5 * np.eye(len(V.T)) - 0.5 * (V.T @ V))
     return orbit, (V / np.sqrt(count)[:, None])[t_orbit]
 
@@ -416,34 +456,47 @@ def _records(terms, L):
 
 
 def _reduced_records(terms, L, W, split):
-    """Records over y = (1, z) for w = W y, one per block size.
+    """Dense records over y = (1, z) for w = W y, one per block size.
 
     The coefficient of y_j at (a, b) of block I is
     sum_g L[e_I, g] W[T[a, b, g], j]; y_0 = 1 gives the constants, and
-    each z_j one triplet per cell.  M_r gives its isotypic blocks
-    Q_s' M_r Q_s instead (``split``).  Blocks of one size are stacked in
-    order of first appearance.
+    the z_j the record's values.  M_r (row 0 of L is the unit at g = 0)
+    gives its isotypic blocks Q_s' M_r Q_s instead (``split``), for a
+    chunk of the y_j at a time; the other blocks sum the nonzeros of
+    their rows of L, for a chunk of rows at a time.  Blocks of one size
+    are written, in order of first appearance, into one (ny, k, d, d)
+    array whose slices at y_0 and at z are the constants and the values.
     """
     ny = W.shape[1]
-    stacks = {}
-    for h, (d, _, T, rows) in enumerate(terms):
-        C = L.dense(rows, T.shape[1]) @ W[T.T].reshape(T.shape[1], -1)
-        C = C.reshape(len(rows), d * d, ny).transpose(2, 0, 1).reshape(
-            ny, len(rows), d, d)
-        if h:
-            stacks.setdefault(d, []).append(C)
-        else:
-            for _, Q in split:
-                stacks.setdefault(len(Q.T), []).append(
-                    (Q.T @ C[:, 0] @ Q)[:, None])
-    blocks = []
-    for group in stacks.values():
-        S = np.concatenate(group, axis=1) if len(group) > 1 else group[0]
-        size = S[0].size
-        blocks.append(sdp.PsdBlock(
-            const=S[0], var_idx=np.repeat(np.arange(1, ny), size),
-            cells=np.tile(np.arange(size), ny - 1), vals=S[1:].ravel()))
-    return blocks
+    parts = ([(len(Q.T), 1) for _, Q in split] +
+             [(d, len(rows)) for d, _, _, rows in terms[1:]])
+    ks, at = {}, []  # blocks of each size, and where each part starts
+    for d, k in parts:
+        at.append(ks.get(d, 0))
+        ks[d] = at[-1] + k
+    S = {d: np.empty((ny, k, d, d)) for d, k in ks.items()}
+    d, _, T, _ = terms[0]
+    step = max(1, _CHUNK_BYTES // (8 * d * d))
+    for lo in range(0, ny, step):
+        M = W[T[:, 0], lo:lo + step].T.reshape(-1, d, d)
+        for (_, Q), i in zip(split, at):
+            S[len(Q.T)][lo:lo + step, i] = Q.T @ M @ Q
+    for (d, _, T, rows), i in zip(terms[1:], at[len(split):]):
+        # entries per row: every row of L has one, so that no segment of
+        # the reduceat is empty
+        count = np.diff(L.indptr)[rows]
+        step = max(1, _CHUNK_BYTES // (8 * d * d * ny * count.max()))
+        for lo in range(0, len(rows), step):
+            c = count[lo:lo + step]
+            _, g, coef = L.gather(rows[lo:lo + step])
+            C = np.add.reduceat(coef[:, None, None] * W[T[:, g].T],
+                                np.cumsum(c) - c)
+            S[d][:, i + lo:i + lo + len(c)] = C.transpose(2, 0, 1).reshape(
+                ny, len(c), d, d)
+    return [sdp.PsdBlock(const=Sd[0], var_idx=np.arange(1, ny)[:, None],
+                         cells=np.arange(Sd[0].size),
+                         vals=Sd[1:].reshape(ny - 1, -1))
+            for Sd in S.values()]
 
 
 def _quadratic_rows(nvars):
@@ -552,19 +605,6 @@ class GwBound:
     n: int
     moments: np.ndarray   # pi-moments of the solution
     symmetries: int       # coupling-entry permutations the solve used
-
-
-# Dense solver data (sdp.dense_bytes) per chunk of gw_lower_bounds.  A 4x4
-# level-1 relaxation has 0.12 MB of them; its assembled problem, lift and
-# IPM temporaries take about 2.0 times that again (tracemalloc peak of a
-# chunk of five such pairs), so a chunk adds about 1.8 MB to peak RSS
-# however many pairs there are, while its lockstep batches still share
-# each kernel call among several problems.  A symmetric pair holds more
-# per dense byte: its records are dense triplets of 24 B per coefficient,
-# and its W is dense over the t-moments, so between assembly and solve it
-# holds 3.5 to 5 times its dense bytes (4x4, 8x4 and 16x4 at level 1, 3x4
-# at level 2), and a chunk of such pairs up to about 2.5 MB.
-_CHUNK_BYTES = 1 << 19
 
 
 def gw_lower_bound(X: MetricMeasureSpace, Y: MetricMeasureSpace,

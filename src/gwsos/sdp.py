@@ -19,7 +19,11 @@ at z = 0, the caller's offset.  ``eq_lhs``/``eq_rhs`` may record
 equalities with the same solutions; the solver does not read them.  The
 triplets of a record form one sparse (k*d*d) x nvars matrix A, and the
 data of each size in z are const + A offset and the columns of A at the
-free coordinates, one bincount over (coordinate, cell) with numpy alone.
+free coordinates.  A record's triplet arrays broadcast against each
+other: sparse coefficients are three 1-D arrays, 24 bytes each, and
+dense ones a (nv, k*d*d) array of values against a column of nv
+variables and the row of cells, 8 bytes each.  ``_coefficients`` reads
+both kinds in bounded chunks of triplets, with numpy alone.
 One-dimensional blocks form a nonnegativity cone.
 
 The method is an infeasible-start primal-dual interior point method with
@@ -72,6 +76,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -85,7 +90,9 @@ _STEP_FRACTION = 0.98
 # pair the solve takes 19 iterations at 0.8, 0.85 and 0.9, and 25 at 0.5
 # and at 1.0 (35 without the safeguard).
 _SHORT_CORRECTOR = 0.9
-_GROUP_BYTES = 1 << 18  # coefficients per congruence call in _schur
+# bytes of coefficients per congruence call in _schur, and of values per
+# chunk of triplets in _triplets
+_GROUP_BYTES = 1 << 18
 _SOLVE_BLOCK = 64  # rows per diagonal block of the Schur factor's solve
 
 # glibc serves allocations above its mmap threshold (128 KB at start) with
@@ -101,13 +108,18 @@ np.empty(1 << 18)
 
 @dataclasses.dataclass
 class PsdBlock:
-    """The k PSD constraints of one size d in sparse triplet form.
+    """The k PSD constraints of one size d in triplet form.
 
     ``const`` is the (k, d, d) stack of constant terms.  Triplet t adds
     vals[t] * y[var_idx[t]] at cell cells[t] of the stacked (k*d*d)
-    array, so block i, entry (r, c) is cell (i*d + r)*d + c.  The
-    triplets must describe symmetric matrices: off-diagonal
-    contributions appear once for each of the two mirror positions.
+    array, so block i, entry (r, c) is cell (i*d + r)*d + c.  The three
+    arrays broadcast against each other, and the triplets are the
+    entries of the broadcast in C order: sparse coefficients are 1-D
+    arrays of one length; dense ones are an (nv, k*d*d) ``vals`` with
+    ``var_idx`` of shape (nv, 1) and ``cells`` the k*d*d cells, so each
+    value is stored once.  The triplets must describe symmetric
+    matrices: off-diagonal contributions appear once for each of the two
+    mirror positions.
     """
 
     const: np.ndarray
@@ -389,22 +401,33 @@ def _schur_solver(L):
     return solve
 
 
-def _coefficients(blk, N, nvars):
-    """The columns of A at the free coordinates N, as an (nz, k*d*d) array.
+def _triplets(blk):
+    """The record's triplets as 1-D (var, cell, val) arrays, in chunks of
+    about _GROUP_BYTES of values, so that no index array spans a whole
+    dense record."""
+    var, cells, vals = np.broadcast_arrays(blk.var_idx, blk.cells, blk.vals)
+    step = max(1, _GROUP_BYTES // (8 * math.prod(vals.shape[1:])))
+    for lo in range(0, len(vals), step):
+        yield tuple(a[lo:lo + step].ravel() for a in (var, cells, vals))
 
-    A is the record's sparse triplet matrix; the triplets of the other
-    variables drop out.
+
+def _coefficients(blk, y_p, N):
+    """const + A y_p as a (k, d, d) stack, and the columns of A at the free
+    coordinates N as an (nz, k*d*d) array.
+
+    A is the record's triplet matrix.  Each entry sums its triplets in
+    record order; those of the coordinates off N go to a spare row.
     """
-    size = blk.const.size
-    nz = len(N)
-    col = np.full(nvars, -1)
+    size, nz = blk.const.size, len(N)
+    col = np.full(len(y_p), nz)
     col[N] = np.arange(nz)
-    j = col[blk.var_idx]
-    on = j >= 0
-    G = np.bincount(j[on] * size + blk.cells[on], weights=blk.vals[on],
-                    minlength=nz * size)
-    # an empty bincount is an integer array
-    return G.astype(float, copy=False).reshape(nz, size)
+    Ay = np.zeros(size)
+    G = np.zeros((nz + 1) * size)
+    for var, cells, vals in _triplets(blk):
+        np.add.at(Ay, cells, vals * y_p[var])
+        np.add.at(G, col[var] * size + cells, vals)
+    return (blk.const + Ay.reshape(blk.const.shape),
+            G[:nz * size].reshape(nz, size))
 
 
 def _stack_blocks(blocks, y_p, N):
@@ -422,10 +445,8 @@ def _stack_blocks(blocks, y_p, N):
     G0s, Gs = [], []
     for blk in blocks:
         k, d, _ = blk.const.shape
-        G0 = blk.const + np.bincount(
-            blk.cells, weights=blk.vals * y_p[blk.var_idx],
-            minlength=blk.const.size).reshape(k, d, d)
-        G = _coefficients(blk, N, len(y_p)).reshape(nz, k, d, d)
+        G0, G = _coefficients(blk, y_p, N)
+        G = G.reshape(nz, k, d, d)
         # each block's largest |entry| with no |G| temporary: G.max and
         # -G.min over the coefficients first, then over the block
         big = np.maximum(np.maximum(np.abs(G0), G.max(axis=0, initial=0.0)),

@@ -219,6 +219,38 @@ class TestSolverDump:
                                  "loc[0,2]", "loc[0,3]"]
         assert [blk.const.shape for blk in prob.blocks] == [(5, 1, 1)]
 
+    def test_symmetric_dump_solves_to_the_same_y(self, runner, tmp_path):
+        # dyadic lines of 3 and 4 points at level 2: dense records, whose
+        # (nv, 1) variables and (nv, k*d*d) values the JSON keeps
+        paths = []
+        for name, pts in (("x", [0, 0.5, 1]), ("y", [0, 0.25, 0.75, 1])):
+            pts = np.array(pts)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "labels": [f"{name}{i}" for i in range(len(pts))],
+                "dist": np.abs(pts[:, None] - pts[None]).tolist(),
+                "weights": [1 / len(pts)] * len(pts)}))
+            paths.append(str(path))
+        out = tmp_path / "prob.json"
+        result = runner.invoke(main, ["solver-dump", *paths, "--level", "2",
+                                      "-o", str(out)])
+        assert result.exit_code == 0
+        prob = sdp.load_problem(out)
+        want, info = hierarchy.assemble_relaxation(
+            *map(load_space, paths), level=2)
+        assert info.symmetries == 4
+        assert len(prob.blocks) == len(want.blocks)
+        for blk, ref in zip(prob.blocks, want.blocks):
+            assert ref.vals.ndim == 2
+            for name in ("const", "var_idx", "cells", "vals"):
+                a, b = getattr(blk, name), getattr(ref, name)
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+        s0, s1 = sdp.solve(want), sdp.solve(prob)
+        assert s0.status == s1.status == "optimal"
+        assert s1.iterations == s0.iterations
+        assert s1.y.tobytes() == s0.y.tobytes()
+
     def test_asymmetric_pair_lists_every_block(self, runner, files,
                                                tmp_path):
         rec = record(runner.invoke(main, ["solver-dump", files["c"],

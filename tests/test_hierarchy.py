@@ -246,7 +246,8 @@ class TestSparseSubstitution:
     def test_assembly_peak_memory(self):
         # a dense L of this 16x4 level-1 pair alone takes 17.7 MB, and
         # an assembly that builds it peaks at about 40 MB under
-        # tracemalloc; with sparse rows the peak is about 22 MB
+        # tracemalloc; with sparse rows, about 22 MB; with dense records
+        # built in chunks from those rows, about 11.2 MB
         fine, coarse = concentration_pair()
         tracemalloc.start()
         try:
@@ -254,7 +255,122 @@ class TestSparseSubstitution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 14e6
+
+    def test_solve_peak_memory(self):
+        # the assembled problem (5.7 MB, 12.5 MB as triplets) and the
+        # solve: about 13.0 MB under tracemalloc, 19.8 MB with triplets
+        # that the solver spread to index arrays at once
+        fine, coarse = concentration_pair()
+        tracemalloc.start()
+        try:
+            prob, _ = assemble_relaxation(fine, coarse, level=1)
+            tracemalloc.reset_peak()
+            assert sdp.solve(prob).status == "optimal"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_symmetry_reduction_peak_memory(self):
+        # reduce_by_symmetry alone: about 8.2 MB under tracemalloc, 10.4 MB
+        # while it kept every eigenvector and A to its end
+        peaks = []
+        reduce_by_symmetry = hierarchy.reduce_by_symmetry
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                out = reduce_by_symmetry(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        with mock.patch.object(hierarchy, "reduce_by_symmetry", traced):
+            assemble_relaxation(*concentration_pair(), level=1)
+        assert len(peaks) == 1
+        assert peaks[0] < 9e6
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (4, 5, 4), (16, 4, 2)])
+    def test_plan_in_row_blocks_is_the_whole_degree_plan(self, shape):
+        indptr, cols, terms = hierarchy._substitution_plan(*shape)
+        ref_indptr, ref_cols, ref_terms = whole_degree_plan(*shape)
+        assert np.array_equal(indptr, ref_indptr)
+        assert np.array_equal(cols, ref_cols)
+        assert cols.dtype == ref_cols.dtype
+        assert len(terms) == len(ref_terms)
+        for got, want in zip(terms, ref_terms):
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            assert got[3] == want[3]
+
+    def test_plan_peak_memory(self):
+        # the first 4x5 level-2 plan: 6.3 MB kept, about 14 MB traced
+        # peak in row blocks, 43 MB with one sort per degree
+        for nvars in (20, 12):
+            mom.get_basis(nvars, 4)
+        hierarchy._substitution_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            hierarchy._substitution_plan(4, 5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19e6
+
+
+def whole_degree_plan(m, n, maxdeg):
+    """_substitution_plan with all terms of one degree sorted at once."""
+    nvars, k = m * n, (m - 1) * (n - 1)
+    basis, tbasis = mom.get_basis(nvars, maxdeg), mom.get_basis(k, maxdeg)
+    nt = len(tbasis)
+    B = _affine_parametrization(np.ones(m), np.ones(n))[1].reshape(k, nvars)
+    upper_left = np.zeros((m, n), dtype=bool)
+    upper_left[:-1, :-1] = True
+    opts = [[(0, -1, v)] * (not upper_left.flat[v]) +
+            [(1 + u, u, nvars + (B[u, v] < 0))
+             for u in np.flatnonzero(B[:, v])]
+            for v in range(nvars)]
+    opt_ptr = np.cumsum([0] + [len(o) for o in opts])
+    opt_key, opt_u, opt_fac = np.array(sum(opts, []), dtype=np.int64).T
+    low = tbasis.exponents[tbasis.degrees < maxdeg].astype(np.int64)
+    shifts = tbasis.index_rows(
+        low + np.eye(k, dtype=np.int64)[:, None]).reshape(k, len(low))
+    exps = basis.exponents[1:].astype(np.int64)
+    first = np.argmax(exps > 0, axis=1)
+    exps[np.arange(len(exps)), first] -= 1
+    parent = basis.index_rows(exps)
+    indptr = np.zeros(len(basis) + 1, dtype=np.int64)
+    indptr[1] = 1
+    cols, terms = [np.zeros(1, dtype=np.int32)], []
+    ranges = hierarchy._ranges
+    for d in range(1, maxdeg + 1):
+        lo, hi = (mom.basis_size(nvars, e) for e in (d - 1, d))
+        p, v = parent[lo - 1:hi - 1], first[lo - 1:hi - 1]
+        count = indptr[p + 1] - indptr[p]
+        row = np.repeat(np.arange(hi - lo), count)
+        src = ranges(indptr[p], count)
+        nopt = (opt_ptr[v + 1] - opt_ptr[v])[row]
+        pair = np.repeat(np.arange(len(row)), nopt)
+        o = ranges(opt_ptr[v][row], nopt)
+        row, src = row[pair], src[pair]
+        col = np.concatenate(cols)[src]
+        col = np.where(opt_u[o] < 0, col, shifts[opt_u[o], col])
+        key = (row * nt + col) * (k + 1) + opt_key[o]
+        order = np.argsort(key)
+        entry = key[order] // (k + 1)
+        new = np.concatenate([[True], entry[1:] != entry[:-1]])
+        entry = entry[new]
+        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(
+            np.bincount(entry // nt, minlength=hi - lo))
+        cols.append((entry % nt).astype(np.int32))
+        terms.append((src[order].astype(np.int32),
+                      (np.cumsum(new) - 1).astype(np.int32),
+                      opt_fac[o][order].astype(np.int16),
+                      (indptr[lo], indptr[hi])))
+    return indptr, np.concatenate(cols), terms
 
 
 class TestLowerBound:
@@ -575,6 +691,74 @@ class TestSymmetryReduction:
                                     tol=1e-6).passed
         back = tensor_measure_to_moments(T)
         assert np.abs(back - res.moments).max() <= 1e-12
+
+
+def dense_reduced_stacks(terms, L, W, split):
+    """The (ny, k, d, d) array of each record of _reduced_records, from
+    the densified rows of L times the gather W[T], then M_r's isotypic
+    blocks."""
+    ny = W.shape[1]
+    stacks = {}
+    for h, (d, _, T, rows) in enumerate(terms):
+        C = L.dense(rows, T.shape[1]) @ W[T.T].reshape(T.shape[1], -1)
+        C = C.reshape(len(rows), d * d, ny).transpose(2, 0, 1).reshape(
+            ny, len(rows), d, d)
+        if h:
+            stacks.setdefault(d, []).append(C)
+        else:
+            for _, Q in split:
+                stacks.setdefault(len(Q.T), []).append(
+                    (Q.T @ C[:, 0] @ Q)[:, None])
+    return [np.concatenate(group, axis=1) for group in stacks.values()]
+
+
+def assembled_with_record_inputs(X, Y, level):
+    """The problem, and the arguments its _reduced_records call took."""
+    calls = []
+    reduced_records = hierarchy._reduced_records
+
+    def recorded(*args):
+        calls.append(args)
+        return reduced_records(*args)
+
+    with mock.patch.object(hierarchy, "_reduced_records", recorded):
+        prob, _ = assemble_relaxation(X, Y, level=level)
+    assert len(calls) == 1
+    return prob, calls[0]
+
+
+class TestDenseRecords:
+    """Records of symmetric pairs hold each coefficient once, dense."""
+
+    @pytest.mark.parametrize("case", range(len(symmetric_cases())))
+    def test_records_match_dense_products(self, case):
+        prob, args = assembled_with_record_inputs(*symmetric_cases()[case])
+        stacks = dense_reduced_stacks(*args)
+        assert len(prob.blocks) == len(stacks)
+        for blk, S in zip(prob.blocks, stacks):
+            ny = len(S)
+            assert blk.var_idx.shape == (ny - 1, 1)
+            assert np.array_equal(blk.var_idx[:, 0], np.arange(1, ny))
+            assert np.array_equal(blk.cells, np.arange(S[0].size))
+            assert blk.const.shape == S[0].shape
+            assert blk.vals.shape == (ny - 1, S[0].size)
+            tol = 1e-14 * np.abs(S).max()
+            assert np.abs(blk.const - S[0]).max() <= tol
+            assert np.abs(blk.vals - S[1:].reshape(ny - 1, -1)).max() <= tol
+
+    @pytest.mark.parametrize("case", range(len(symmetric_cases())))
+    def test_dense_record_reads_as_its_triplets(self, case):
+        X, Y, level = symmetric_cases()[case]
+        prob, _ = assemble_relaxation(X, Y, level=level)
+        for blk in prob.blocks:
+            spread = sdp.PsdBlock(blk.const, *(
+                a.ravel() for a in np.broadcast_arrays(
+                    blk.var_idx, blk.cells, blk.vals)))
+            assert spread.vals.ndim == 1
+            for a, b in zip(sdp._coefficients(blk, *prob.free),
+                            sdp._coefficients(spread, *prob.free)):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestTensorRoundtrip:

@@ -39,3 +39,20 @@ def test_compare_reports_a_changed_solve(tmp_path):
     assert out.returncode == 1
     assert "differ in status 0, iterations 1, objective 0, y 1; " \
            "iterations 9 -> 10" in out.stdout
+
+
+def test_compare_reports_the_size_of_a_change(tmp_path):
+    solves = [{"status": "optimal", "iterations": 9, "objective": "0.5",
+               "y": "00"},
+              {"status": "optimal", "iterations": 12, "objective": "0.25",
+               "y": "02"}]
+    changed = [dict(solves[0], objective="0.5000000001", y="01"),
+               dict(solves[1], iterations=9, y="03")]
+    for name, recs in (("a.json", solves), ("b.json", changed)):
+        (tmp_path / name).write_text(json.dumps(
+            {"workloads": {"wide_l1": {"0": recs}}}))
+    out = run("compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    assert out.returncode == 1
+    assert "differ in status 0, iterations 1, objective 1, y 2; " \
+           "iterations 21 -> 18; largest |objective change| 1.00e-10, " \
+           "|iteration change| 3" in out.stdout

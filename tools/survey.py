@@ -12,7 +12,9 @@ iterations, objective (as ``repr``) and a SHA-256 digest of the bytes of
 ``y``, in call order.  So recording two checkouts and comparing them tells
 whether a change keeps every iterate bit for bit.  ``compare`` prints, per
 workload and over the seeds both files hold, how many solves differ in
-status, iterations, objective or ``y`` and the two iteration totals, and
+status, iterations, objective or ``y``, the two iteration totals, and the
+largest change of one solve's objective and of its iteration count, so
+that a change that is not bit for bit can be judged by its size; it
 exits 1 when any solve differs.
 """
 
@@ -22,6 +24,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import pathlib
 import sys
@@ -75,13 +78,22 @@ def record(workloads, seeds, root=ROOT):
     return out
 
 
+def objective_change(a, b):
+    """|a - b| of two objective reprs; inf when only one is a nan."""
+    if a == b:
+        return 0.0
+    change = abs(float(a) - float(b))
+    return math.inf if math.isnan(change) else change
+
+
 def compare(old, new):
     """Lines of the comparison, and whether every solve is the same."""
     lines, same = [], True
     for name in sorted(old.keys() & new.keys()):
         seeds = sorted(old[name].keys() & new[name].keys(), key=int)
         diffs = dict.fromkeys(FIELDS, 0)
-        count = iters_old = iters_new = 0
+        count = iters_old = iters_new = iters_max = 0
+        objective_max = 0.0
         for seed in seeds:
             a, b = old[name][seed], new[name][seed]
             if len(a) != len(b):
@@ -92,13 +104,19 @@ def compare(old, new):
                 count += 1
                 iters_old += ra["iterations"]
                 iters_new += rb["iterations"]
+                iters_max = max(iters_max,
+                                abs(ra["iterations"] - rb["iterations"]))
+                objective_max = max(objective_max, objective_change(
+                    ra["objective"], rb["objective"]))
                 for field in FIELDS:
                     diffs[field] += ra[field] != rb[field]
         same = same and not any(diffs.values())
         lines.append(
             f"{name}: seeds {','.join(seeds)}; {count} solves; differ in "
             + ", ".join(f"{field} {n}" for field, n in diffs.items())
-            + f"; iterations {iters_old} -> {iters_new}")
+            + f"; iterations {iters_old} -> {iters_new}; largest "
+            f"|objective change| {objective_max:.2e}, |iteration change| "
+            f"{iters_max}")
     return lines, same
 
 
